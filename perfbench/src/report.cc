@@ -42,30 +42,15 @@ double Mean(const std::vector<double>& samples) {
   return sum / static_cast<double>(samples.size());
 }
 
-namespace {
-
-size_t BeyondRank(size_t n, double percentile) {
-  const double rank = std::ceil(percentile / 100.0 * static_cast<double>(n));
-  const size_t r = static_cast<size_t>(std::max(rank, 1.0));
-  return n > r ? n - r : 0;
-}
-
-}  // namespace
-
 Tail TailOf(const std::vector<double>& samples, double percentile) {
   Tail tail;
+  tail.percentile = percentile;
   const size_t n = samples.size();
   if (n == 0) return tail;
-  double chosen = percentile;
-  if (BeyondRank(n, chosen) < 10) {
-    chosen = 50.0;
-    for (double p : {75.0, 90.0, 95.0, 99.0}) {
-      if (p < percentile && BeyondRank(n, p) >= 10) chosen = p;
-    }
-  }
-  tail.percentile = chosen;
-  tail.value = Quantile(samples, chosen / 100.0);
-  tail.beyond = BeyondRank(n, chosen);
+  tail.value = Quantile(samples, percentile / 100.0);
+  const double rank = std::ceil(percentile / 100.0 * static_cast<double>(n));
+  const size_t r = static_cast<size_t>(std::max(rank, 1.0));
+  tail.beyond = n > r ? n - r : 0;
   return tail;
 }
 

@@ -35,10 +35,10 @@ inline double Median(std::vector<double> samples) {
 double Mean(const std::vector<double>& samples);
 
 /// The tail latency the benchmark reports: the nearest-rank value at
-/// `percentile` (a fixed per-workload choice, so runs of different speed
-/// compare the same order statistic). When fewer than ten samples would
-/// lie beyond it, falls back to the highest of p50/p75/p90/p95/p99 that
-/// has ten beyond.
+/// `percentile`, a fixed per-workload choice, so runs of different speed
+/// always compare the same order statistic. A run with fewer than
+/// kMinTailBeyond samples beyond it fails a check instead.
+constexpr size_t kMinTailBeyond = 10;
 struct Tail {
   double percentile = 0.0;  ///< in percent, e.g. 95
   double value = 0.0;

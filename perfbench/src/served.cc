@@ -46,7 +46,16 @@ namespace {
 constexpr double kScale = 0.25;
 constexpr size_t kK = 20;
 constexpr int kClients = 2;
-constexpr int kLifecycleRequests = 200;
+/// Requests per lifecycle: the most for which the lifecycle's last budget
+/// read stays within 16 KiB, the Linux default TCP send buffer
+/// (net.ipv4.tcp_wmem), so the server writes every budget read in one
+/// send rather than through its EPOLLOUT write queue. A budget body is
+/// ≈32 bytes plus ≈120 per query (three ledger entries), so the last
+/// read, after 135 queries, is ≈16.3 KB; at 160 requests (144 queries) it
+/// would be ≈17.3 KB. The run records the largest read as
+/// budget_bytes_max, and registration's share of the served latency as
+/// the register_* facts (RegistrationCost below).
+constexpr int kLifecycleRequests = 150;
 constexpr int kBudgetEvery = 10;
 /// Served releases per client replayed in-process after the window; the
 /// same prefix scores utility.
@@ -288,8 +297,10 @@ Result<std::pair<double, double>> LedgerSum(const std::string& body) {
 /// Everything one client thread measured.
 struct ClientLog {
   std::vector<double> query_ms, budget_ms, budget_bytes, register_ms;
-  /// When each query completed, in ms since the window start.
-  std::vector<double> query_end_ms;
+  /// When each query started and completed, in ms since the window start.
+  std::vector<double> query_start_ms, query_end_ms;
+  /// When each registration started and completed, likewise.
+  std::vector<double> register_start_ms, register_end_ms;
   /// Its first kReplayPerClient releases, by query index (empty where
   /// the query failed).
   std::vector<std::optional<Release>> releases;
@@ -305,10 +316,12 @@ void RunClient(uint16_t port, uint64_t workload_seed, int client,
   auto open = [&] { return MsSince(window_start) < window_ms; };
   while (open()) {
     double register_ms = 0;
+    log->register_start_ms.push_back(MsSince(window_start));
     auto id = Register(conn, &register_ms);
     log->ops.Op(id.ok() ? "" : "register: " + id.status().ToString());
     if (!id.ok()) return;
     log->register_ms.push_back(register_ms);
+    log->register_end_ms.push_back(MsSince(window_start));
 
     double spent = 0.0;
     for (int j = 1; j <= kLifecycleRequests && open(); ++j) {
@@ -340,6 +353,7 @@ void RunClient(uint16_t port, uint64_t workload_seed, int client,
       const QuerySpec spec =
           SpecFor(QuerySeed(workload_seed, kClientStream + client, index));
       double ms = 0;
+      const double start_ms = MsSince(window_start);
       auto release = Query(conn, *id, spec, &ms);
       log->last_query_end_ms = MsSince(window_start);
       if (!release.ok()) {
@@ -348,6 +362,7 @@ void RunClient(uint16_t port, uint64_t workload_seed, int client,
         continue;
       }
       log->query_ms.push_back(ms);
+      log->query_start_ms.push_back(start_ms);
       log->query_end_ms.push_back(log->last_query_end_ms);
       spent += release->epsilon_spent;
       log->ops.Op(CheckRelease(*release, kK));
@@ -361,6 +376,62 @@ void RunClient(uint16_t port, uint64_t workload_seed, int client,
                                                std::to_string(deleted->status)
                                          : "");
   }
+}
+
+/// How much of the served latency registration accounts for. A query is
+/// near a registration when it overlaps one, or is some client's first
+/// query to start after one ended: registration writes its snapshot under
+/// the registry lock, and the next WAL fsync flushes it. Records, as
+/// facts, the share of client time spent registering, the share of
+/// queries near a registration, the p50 of near and of clear queries, and
+/// the registration stall share: near queries' latency above the clear
+/// p50, over all query latency.
+void RegistrationCost(const std::vector<ClientLog>& logs, double window_ms,
+                      Report* report) {
+  std::vector<std::vector<bool>> near(logs.size());
+  for (size_t c = 0; c < logs.size(); ++c) {
+    near[c].assign(logs[c].query_ms.size(), false);
+  }
+  double register_total_ms = 0;
+  for (const ClientLog& registering : logs) {
+    for (size_t r = 0; r < registering.register_end_ms.size(); ++r) {
+      const double from = registering.register_start_ms[r];
+      const double to = registering.register_end_ms[r];
+      register_total_ms += to - from;
+      for (size_t c = 0; c < logs.size(); ++c) {
+        // A client's queries are back to back, so both time lists are
+        // sorted.
+        const auto& starts = logs[c].query_start_ms;
+        const auto& ends = logs[c].query_end_ms;
+        size_t q = static_cast<size_t>(
+            std::upper_bound(ends.begin(), ends.end(), from) - ends.begin());
+        for (; q < starts.size() && starts[q] < to; ++q) near[c][q] = true;
+        if (q < starts.size()) near[c][q] = true;
+      }
+    }
+  }
+  std::vector<double> near_ms, clear_ms;
+  double total_ms = 0;
+  for (size_t c = 0; c < logs.size(); ++c) {
+    for (size_t q = 0; q < near[c].size(); ++q) {
+      (near[c][q] ? near_ms : clear_ms).push_back(logs[c].query_ms[q]);
+      total_ms += logs[c].query_ms[q];
+    }
+  }
+  const double clear_p50 = Median(clear_ms);
+  double stall_ms = 0;
+  for (double ms : near_ms) stall_ms += std::max(0.0, ms - clear_p50);
+  const double queries = static_cast<double>(near_ms.size() + clear_ms.size());
+  report->Fact("register_time_share",
+               register_total_ms /
+                   (static_cast<double>(logs.size()) * window_ms));
+  report->Fact("queries_near_register_share",
+               queries > 0 ? static_cast<double>(near_ms.size()) / queries
+                           : 0.0);
+  report->Fact("query_p50_near_register_ms", Median(near_ms));
+  report->Fact("query_p50_clear_ms", clear_p50);
+  report->Fact("register_stall_share",
+               total_ms > 0 ? stall_ms / total_ms : 0.0);
 }
 
 }  // namespace
@@ -530,6 +601,9 @@ void RunServed(const RunOptions& options, Report* report) {
     block_qps.push_back(static_cast<double>(block_ms[b].size()) /
                         ((block_end_ms - b * block_len_ms) / 1000.0));
   }
+  report->Check(min_beyond >= kMinTailBeyond,
+                "only " + std::to_string(min_beyond) +
+                    " samples beyond the tail percentile in a block");
   const size_t n = query_ms.size();
   const double served_p50 = MedianOfBlockMedians(block_ms);
   report->Metric("query_p50_ms", served_p50, "ms", n);
@@ -551,6 +625,12 @@ void RunServed(const RunOptions& options, Report* report) {
   report->Fact("lifecycle_requests", kLifecycleRequests);
   report->Fact("budget_reads", budget_ms.size());
   report->Fact("registrations", register_ms.size());
+  report->Fact("budget_bytes_max",
+               budget_bytes.empty()
+                   ? 0.0
+                   : *std::max_element(budget_bytes.begin(),
+                                       budget_bytes.end()));
+  RegistrationCost(logs, window_ms, report);
 
   if (!options.trace) return;
   stages.Emit(report);

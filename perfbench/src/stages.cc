@@ -226,7 +226,10 @@ void StageSummary::Emit(Report* report) const {
   per_query("core.bin_count_ms", sum_.bin_count);
   per_query("core.basis_freq_ms", sum_.basis_freq);
   per_query("engine.run_ms", engine_ms_);
-  per_query("engine.other_ms", engine_ms_ - sum_.Sum());
+  // Engine::Run and the recomposition are separate calls, so where the
+  // engine's own work (validation, lease, commit) is below their timing
+  // noise the difference can dip under 0; it reads 0 then.
+  per_query("engine.other_ms", std::max(0.0, engine_ms_ - sum_.Sum()));
   report->Metric("core.lambda", lambda_ / n, "count", n_);
   report->Metric("core.lambda2", lambda2_ / n, "count", n_);
   report->Metric("core.basis_width", width_ / n, "count", n_);
