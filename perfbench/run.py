@@ -2,7 +2,7 @@
 """Runs one workload of the privbasis benchmark and prints its result.
 
     python3 perfbench/run.py --workload kosarak-k300 --seed 1 \
-        --seconds 20 --trace 0
+        --seconds 25 --trace 0
 
 Builds the library, the query server and the benchmark driver from the
 checkout's sources (perfbench/CMakeLists.txt) into $CARGO_TARGET_DIR, or

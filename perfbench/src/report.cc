@@ -54,16 +54,22 @@ Tail TailOf(const std::vector<double>& samples, double percentile) {
   return tail;
 }
 
+namespace {
+
+int BlockOf(double end_ms, double window_ms) {
+  const double block_ms = window_ms / kWindowBlocks;
+  return std::min(kWindowBlocks - 1,
+                  static_cast<int>(std::max(0.0, end_ms) / block_ms));
+}
+
+}  // namespace
+
 std::vector<std::vector<double>> SplitIntoBlocks(
     const std::vector<double>& samples, const std::vector<double>& end_ms,
     double window_ms) {
   std::vector<std::vector<double>> blocks(kWindowBlocks);
-  const double block_ms = window_ms / kWindowBlocks;
   for (size_t i = 0; i < samples.size(); ++i) {
-    const int b = std::min(kWindowBlocks - 1,
-                           static_cast<int>(std::max(0.0, end_ms[i]) /
-                                            block_ms));
-    blocks[b].push_back(samples[i]);
+    blocks[BlockOf(end_ms[i], window_ms)].push_back(samples[i]);
   }
   return blocks;
 }
@@ -74,6 +80,62 @@ double MedianOfBlockMedians(const std::vector<std::vector<double>>& blocks) {
     if (!block.empty()) medians.push_back(Median(block));
   }
   return Median(std::move(medians));
+}
+
+void HostSpeed::Sample(double end_ms) {
+  constexpr int kSteps = 1 << 20;
+  uint64_t x = 1;
+  const auto start = Clock::now();
+  for (int i = 0; i < kSteps; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    asm volatile("" : "+r"(x));  // one dependent step per iteration
+  }
+  kernel_ms_.push_back(MsSince(start));
+  end_ms_.push_back(end_ms);
+}
+
+std::vector<double> HostSpeed::BlockFactors(double window_ms) const {
+  std::vector<double> factor(kWindowBlocks, Factor());
+  const auto blocks = SplitIntoBlocks(kernel_ms_, end_ms_, window_ms);
+  for (int b = 0; b < kWindowBlocks; ++b) {
+    if (!blocks[b].empty()) factor[b] = kReferenceKernelMs / Median(blocks[b]);
+  }
+  return factor;
+}
+
+std::vector<double> HostSpeed::AtReference(const std::vector<double>& samples,
+                                           const std::vector<double>& end_ms,
+                                           double window_ms) const {
+  const std::vector<double> factor = BlockFactors(window_ms);
+  std::vector<double> scaled(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    scaled[i] = samples[i] * factor[BlockOf(end_ms[i], window_ms)];
+  }
+  return scaled;
+}
+
+double HostSpeed::MedianKernelMs() const { return Median(kernel_ms_); }
+
+CpuTicks ReadCpuTicks() {
+  // First line: "cpu  user nice system idle iowait irq softirq steal ...".
+  CpuTicks ticks;
+  std::ifstream stat("/proc/stat");
+  std::string label;
+  stat >> label;
+  for (int field = 0; field < 8; ++field) {
+    uint64_t value = 0;
+    if (!(stat >> value)) break;
+    ticks.total += value;
+    if (field == 7) ticks.steal = value;
+  }
+  return ticks;
+}
+
+double StealShareSince(const CpuTicks& since) {
+  const CpuTicks now = ReadCpuTicks();
+  if (now.total <= since.total) return 0.0;
+  return static_cast<double>(now.steal - since.steal) /
+         static_cast<double>(now.total - since.total);
 }
 
 Value QuantileFact(const std::vector<double>& samples) {

@@ -61,6 +61,59 @@ std::vector<std::vector<double>> SplitIntoBlocks(
 /// Median of the non-empty blocks' medians.
 double MedianOfBlockMedians(const std::vector<std::vector<double>>& blocks);
 
+/// The shared host's clock speed, sampled through a run. On a shared VM
+/// every vCPU slows and speeds up together, by up to ±20% within seconds
+/// and by a third over an hour, and the queries follow it. Every workload
+/// times a fixed kernel — a dependent integer multiply-add chain the
+/// compiler cannot shorten — through its window (in process between
+/// queries, served on a thread beside the clients) and reports its timings
+/// at a reference speed: each timing times kReferenceKernelMs over the
+/// median kernel time of its window block.
+class HostSpeed {
+ public:
+  /// The kernel's median time on the 4-vCPU x86-64 VM the benchmark was
+  /// tuned on; a fixed constant, so scaled timings compare across runs.
+  static constexpr double kReferenceKernelMs = 1.5;
+  /// Window time between samples. In process the kernel runs after the
+  /// first query that ends this long after the last sample: after every
+  /// query on kosarak and aol, every second one on pumsb (≈2% of the
+  /// window).
+  static constexpr double kSampleEveryMs = 50.0;
+
+  /// Times the kernel once and files it under window time `end_ms`.
+  void Sample(double end_ms = 0.0);
+  /// Per window block, the factor that scales a timing in it to the
+  /// reference speed: kReferenceKernelMs over the block's median kernel
+  /// time. A block without a kernel sample uses the run's median.
+  std::vector<double> BlockFactors(double window_ms) const;
+  /// `samples` (completed at `end_ms`, in a window of `window_ms`) at the
+  /// reference speed.
+  std::vector<double> AtReference(const std::vector<double>& samples,
+                                  const std::vector<double>& end_ms,
+                                  double window_ms) const;
+  double MedianKernelMs() const;
+  /// Scales a timing taken while these samples were drawn to the
+  /// reference speed.
+  double Factor() const { return kReferenceKernelMs / MedianKernelMs(); }
+  size_t samples() const { return kernel_ms_.size(); }
+
+ private:
+  std::vector<double> kernel_ms_;
+  std::vector<double> end_ms_;
+};
+
+/// Cumulative vCPU time of the whole VM, from /proc/stat, and the part of
+/// it the hypervisor ran other guests instead (steal).
+struct CpuTicks {
+  uint64_t steal = 0;
+  uint64_t total = 0;
+};
+CpuTicks ReadCpuTicks();
+/// Steal over all vCPU time since `since`, for the detail line: a run
+/// during a steal episode reads slow whatever the program does, and the
+/// kernel above does not see it in full.
+double StealShareSince(const CpuTicks& since);
+
 /// {"p50": .., "p75": .., "p90": .., "p95": .., "p99": ..} of `samples`,
 /// for the detail line.
 privbasis::json::Value QuantileFact(const std::vector<double>& samples);

@@ -443,6 +443,7 @@ void RunServed(const RunOptions& options, Report* report) {
 
   // ---- set-up: start the server, register, first query ---------------
   std::vector<double> setup_s;
+  HostSpeed setup_host;
   for (int rep = 0; rep < kSetupReps; ++rep) {
     server.Stop();
     const auto start = Clock::now();
@@ -463,6 +464,7 @@ void RunServed(const RunOptions& options, Report* report) {
         Query(conn, *id, SpecFor(QuerySeed(options.seed, kSetupStream, rep)),
               &ms);
     setup_s.push_back(MsSince(start) / 1000.0);
+    for (int i = 0; i < 3; ++i) setup_host.Sample();
     report->Op(first.ok() ? CheckRelease(*first, kK)
                           : first.status().ToString());
     auto deleted = conn.Call("DELETE", "/v1/datasets/" + *id, "");
@@ -491,6 +493,8 @@ void RunServed(const RunOptions& options, Report* report) {
   // ---- timed window ---------------------------------------------------
   std::vector<ClientLog> logs(kClients);
   const double window_ms = options.seconds * 1000.0;
+  HostSpeed host;
+  const CpuTicks window_ticks = ReadCpuTicks();
   const auto window_start = Clock::now();
   {
     std::vector<std::thread> clients;
@@ -498,8 +502,16 @@ void RunServed(const RunOptions& options, Report* report) {
       clients.emplace_back(RunClient, server.port(), options.seed, c,
                            window_start, window_ms, &logs[c]);
     }
+    // Host speed while the clients run, sampled from this thread: one
+    // ≈1.5 ms kernel every kSampleEveryMs, ≈3% of one vCPU.
+    while (MsSince(window_start) < window_ms) {
+      host.Sample(MsSince(window_start));
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(HostSpeed::kSampleEveryMs));
+    }
     for (auto& t : clients) t.join();
   }
+  const double steal_share = StealShareSince(window_ticks);
   report->Metric("peak_rss_mb", PeakRssMbOf(server.pid()), "MiB", 1);
   server.Stop();
   fs::remove_all(state_dir);
@@ -583,9 +595,13 @@ void RunServed(const RunOptions& options, Report* report) {
   report->Check(cache_builds == 0, "a warm query rebuilt a dataset cache");
 
   // ---- metrics --------------------------------------------------------
-  // Per-block p50, tail and throughput; the last block also holds the
-  // queries in flight at the deadline, and lasts until the last one ends.
-  const auto block_ms = SplitIntoBlocks(query_ms, query_end_ms, window_ms);
+  // Per-block p50, tail and throughput at the reference host speed; the
+  // last block also holds the queries in flight at the deadline, and lasts
+  // until the last one ends.
+  const std::vector<double> factor = host.BlockFactors(window_ms);
+  const std::vector<double> scaled_ms =
+      host.AtReference(query_ms, query_end_ms, window_ms);
+  const auto block_ms = SplitIntoBlocks(scaled_ms, query_end_ms, window_ms);
   const double block_len_ms = window_ms / kWindowBlocks;
   std::vector<double> block_tail, block_qps;
   size_t min_beyond = 0;
@@ -599,20 +615,28 @@ void RunServed(const RunOptions& options, Report* report) {
                                     ? std::max(last_end_ms, window_ms)
                                     : (b + 1) * block_len_ms;
     block_qps.push_back(static_cast<double>(block_ms[b].size()) /
-                        ((block_end_ms - b * block_len_ms) / 1000.0));
+                        ((block_end_ms - b * block_len_ms) / 1000.0) /
+                        factor[b]);
   }
   report->Check(min_beyond >= kMinTailBeyond,
                 "only " + std::to_string(min_beyond) +
                     " samples beyond the tail percentile in a block");
   const size_t n = query_ms.size();
-  const double served_p50 = MedianOfBlockMedians(block_ms);
-  report->Metric("query_p50_ms", served_p50, "ms", n);
+  report->Metric("query_p50_ms", MedianOfBlockMedians(block_ms), "ms", n);
+  const double served_p50 = MedianOfBlockMedians(
+      SplitIntoBlocks(query_ms, query_end_ms, window_ms));
+  report->Fact("raw_query_p50_ms", served_p50);
+  report->Fact("host_kernel_ms", host.MedianKernelMs());
+  report->Fact("host_kernel_samples", host.samples());
+  report->Fact("host_steal_share", steal_share);
   report->Metric("query_tail_ms", Median(block_tail), "ms", n);
   report->Fact("query_tail_percentile", kTailPercentile);
   report->Fact("query_tail_beyond", min_beyond);
-  report->Fact("query_quantiles_ms", QuantileFact(query_ms));
+  report->Fact("query_quantiles_ms", QuantileFact(scaled_ms));
   report->Metric("throughput_qps", Median(block_qps), "1/s", n);
-  report->Metric("setup_s", Median(setup_s), "s", setup_s.size());
+  report->Metric("setup_s", Median(setup_s) * setup_host.Factor(), "s",
+                 setup_s.size());
+  report->Fact("raw_setup_s", Median(setup_s));
   // Reported as recall = 1 − FNR: FNR itself reads 0 on some seeds of an
   // easy workload, and a metric judged by its relative change must not.
   report->Metric("recall", 1.0 - Mean(fnr), "ratio", fnr.size());
