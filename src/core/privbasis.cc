@@ -107,8 +107,16 @@ Status ValidatePrivBasisOptions(size_t k, double epsilon,
     return Status::InvalidArgument(
         "eta must be >= 1 (GetLambda targets the ceil(eta*k)-th itemset)");
   }
-  if (options.max_basis_length == 0) {
-    return Status::InvalidArgument("max_basis_length must be >= 1");
+  // ConstructBasisSet needs ℓ ≥ 3 and BasisFreq refuses a basis longer
+  // than its cap. Both fail only after ε is reserved, so check here.
+  const size_t bin_cap = options.basis_freq.max_basis_length;
+  if (options.max_basis_length < 3 || options.max_basis_length > bin_cap) {
+    return Status::InvalidArgument(
+        "max_basis_length must be in [3, " + std::to_string(bin_cap) + "]");
+  }
+  if (options.single_basis_lambda_cap > bin_cap) {
+    return Status::InvalidArgument("single_basis_lambda_cap must be <= " +
+                                   std::to_string(bin_cap));
   }
   return Status::OK();
 }

@@ -83,10 +83,12 @@ struct PrivBasisResult {
 };
 
 /// Validates the (k, ε, options) triple of one PrivBasis query: k ≥ 1,
-/// ε > 0 and finite, α1/α2/α3 positive with α1+α2+α3 ≤ 1, η ≥ 1, and
-/// max_basis_length ≥ 1. The single source of truth for option checks —
-/// QuerySpec::Validate, the Engine, and the deprecated free functions all
-/// route through it.
+/// ε > 0 and finite, α1/α2/α3 positive with α1+α2+α3 ≤ 1, η ≥ 1,
+/// 3 ≤ max_basis_length ≤ basis_freq.max_basis_length, and
+/// single_basis_lambda_cap ≤ basis_freq.max_basis_length (ConstructBasisSet
+/// and BasisFreq would refuse anything else only after ε is spent). The
+/// single source of truth for option checks — QuerySpec::Validate, the
+/// Engine, and the deprecated free functions all route through it.
 Status ValidatePrivBasisOptions(size_t k, double epsilon,
                                 const PrivBasisOptions& options);
 

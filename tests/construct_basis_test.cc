@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <set>
+#include <unordered_set>
+
+#include "construct_basis_reference.h"
 #include "core/error_variance.h"
 #include "fim/fpgrowth.h"
 #include "graph/bron_kerbosch.h"
@@ -11,6 +17,7 @@ namespace privbasis {
 namespace {
 
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::testing::ReferenceConstructBasisSet;
 
 TEST(ConstructBasisTest, SinglePairYieldsOneBasis) {
   auto basis = ConstructBasisSet({0, 1}, {Itemset({0, 1})});
@@ -185,6 +192,152 @@ TEST(ConstructBasisTest, DuplicateItemsHandled) {
   size_t zero_count = 0;
   for (const auto& b : basis->bases()) zero_count += b.Contains(0);
   EXPECT_EQ(zero_count, 1u);
+}
+
+// Differential test of the indexed Line 4 merge against the pre-index
+// loop (construct_basis_reference.h): on random (F, P, ℓ) the two must
+// pick the same merge every round, so the bases match element by element
+// and the average-case EV matches to the bit. The inputs mix overlapping
+// planted cliques, cliques longer than ℓ (the edge-cover split), loose
+// items (B2 and the Line 5 dissolve), duplicate items in F, and pair
+// endpoints missing from F. Every other input is several interleaved
+// copies of one graph instead: their merges tie exactly, and each tied
+// Δ sums the same terms in a different query order, so the winner can
+// turn on the rounding of that order. A change to the order in which Δ
+// or s is summed then shows up as a different merge.
+struct RandomInput {
+  std::vector<Item> items;
+  std::vector<Itemset> pairs;
+  size_t max_basis_length = 0;
+};
+
+RandomInput MakeRandomInput(Rng& rng) {
+  RandomInput in;
+  in.max_basis_length = 3 + rng.UniformInt(10);  // ℓ ∈ [3, 12]
+  const Item universe = static_cast<Item>(4 + rng.UniformInt(37));
+  std::vector<Item> ids(universe);
+  for (Item i = 0; i < universe; ++i) ids[i] = 1000 + 7 * i;
+
+  std::set<std::pair<Item, Item>> edges;
+  auto add_edge = [&](Item a, Item b) {
+    if (a != b) edges.insert({std::min(a, b), std::max(a, b)});
+  };
+  // Planted cliques over one shared universe, so they overlap; some are
+  // longer than ℓ.
+  const size_t cliques = 1 + rng.UniformInt(8);
+  for (size_t c = 0; c < cliques; ++c) {
+    const size_t size = 2 + rng.UniformInt(
+                                std::min<size_t>(universe - 1,
+                                                 in.max_basis_length + 3));
+    std::shuffle(ids.begin(), ids.end(), rng);
+    for (size_t a = 0; a < size; ++a) {
+      for (size_t b = a + 1; b < size; ++b) add_edge(ids[a], ids[b]);
+    }
+  }
+  // Sparse noise edges.
+  const double noise = 0.1 * rng.NextDouble();
+  for (Item a = 0; a < universe; ++a) {
+    for (Item b = a + 1; b < universe; ++b) {
+      if (rng.Bernoulli(noise)) add_edge(ids[a], ids[b]);
+    }
+  }
+  for (const auto& [a, b] : edges) in.pairs.push_back(Itemset({a, b}));
+  std::shuffle(in.pairs.begin(), in.pairs.end(), rng);
+
+  // F: most pair endpoints (a few are left out), loose items that are in
+  // no pair, and some duplicates, in a random order.
+  std::set<Item> endpoints;
+  for (const auto& [a, b] : edges) endpoints.insert({a, b});
+  for (Item it : endpoints) {
+    if (!rng.Bernoulli(0.1)) in.items.push_back(it);
+  }
+  const size_t loose = rng.UniformInt(12);
+  for (size_t i = 0; i < loose; ++i) {
+    in.items.push_back(static_cast<Item>(5000 + i));
+  }
+  const size_t dups = rng.UniformInt(4);
+  for (size_t i = 0; i < dups && !in.items.empty(); ++i) {
+    in.items.push_back(in.items[rng.UniformInt(in.items.size())]);
+  }
+  std::shuffle(in.items.begin(), in.items.end(), rng);
+  return in;
+}
+
+RandomInput MakeSymmetricInput(Rng& rng) {
+  RandomInput in;
+  in.max_basis_length = 3 + rng.UniformInt(10);  // ℓ ∈ [3, 12]
+  const Item shape_items = static_cast<Item>(4 + rng.UniformInt(6));
+  const Item copies = static_cast<Item>(2 + rng.UniformInt(4));
+  // Item a of copy c is 100 + a·copies + c.
+  auto id = [&](Item a, Item c) { return 100 + a * copies + c; };
+  std::set<Item> endpoints;
+  for (Item a = 0; a < shape_items; ++a) {
+    for (Item b = a + 1; b < shape_items; ++b) {
+      if (!rng.Bernoulli(0.6)) continue;
+      for (Item c = 0; c < copies; ++c) {
+        in.pairs.push_back(Itemset({id(a, c), id(b, c)}));
+        endpoints.insert({id(a, c), id(b, c)});
+      }
+    }
+  }
+  std::shuffle(in.pairs.begin(), in.pairs.end(), rng);
+  in.items.assign(endpoints.begin(), endpoints.end());
+  std::shuffle(in.items.begin(), in.items.end(), rng);
+  return in;
+}
+
+TEST(ConstructBasisTest, MatchesReferenceMergeBitForBit) {
+  Rng rng(20121);
+  size_t merges = 0;
+  for (int input = 0; input < 400; ++input) {
+    const RandomInput in =
+        input % 2 == 0 ? MakeRandomInput(rng) : MakeSymmetricInput(rng);
+    ConstructBasisOptions options;
+    options.max_basis_length = in.max_basis_length;
+    auto got = ConstructBasisSet(in.items, in.pairs, options);
+    auto want = ReferenceConstructBasisSet(in.items, in.pairs, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    const std::string context = "input " + std::to_string(input) +
+                                ", l = " +
+                                std::to_string(in.max_basis_length);
+    ASSERT_EQ(got->Width(), want->Width()) << context;
+    for (size_t i = 0; i < got->Width(); ++i) {
+      ASSERT_EQ(got->basis(i), want->basis(i)) << context << ", basis " << i;
+    }
+
+    std::vector<Itemset> queries;
+    std::unordered_set<Item> seen;
+    for (Item it : in.items) {
+      if (seen.insert(it).second) queries.push_back(Itemset{it});
+    }
+    for (const auto& pair : in.pairs) {
+      for (Item it : pair) {
+        if (seen.insert(it).second) queries.push_back(Itemset{it});
+      }
+    }
+    queries.insert(queries.end(), in.pairs.begin(), in.pairs.end());
+    EXPECT_EQ(std::bit_cast<uint64_t>(AverageCaseEv(*got, queries)),
+              std::bit_cast<uint64_t>(AverageCaseEv(*want, queries)))
+        << context;
+
+    // Two distinct maximal cliques never union to a clique, so a basis
+    // holding two paired items that share no edge shows a Line 4 merge.
+    // Counting those inputs keeps the test from passing on inputs where
+    // the merge never runs.
+    ItemGraph graph = ItemGraph::FromItemsAndPairs(in.items, in.pairs);
+    bool merged = false;
+    for (const auto& basis : got->bases()) {
+      for (size_t a = 0; a < basis.size() && !merged; ++a) {
+        for (size_t b = a + 1; b < basis.size() && !merged; ++b) {
+          merged = graph.Degree(basis[a]) > 0 && graph.Degree(basis[b]) > 0 &&
+                   !graph.HasEdge(basis[a], basis[b]);
+        }
+      }
+    }
+    merges += merged;
+  }
+  EXPECT_GT(merges, 200u);
 }
 
 }  // namespace

@@ -78,16 +78,58 @@ TEST(QuerySpecTest, ValidateCentralizesOptionChecks) {
   EXPECT_FALSE(QuerySpec(tf).WithThreshold(0.1, 10).Validate().ok());
   EXPECT_FALSE(QuerySpec(tf).WithAmplification(0.5).Validate().ok());
 
+  // ConstructBasisSet needs ℓ ≥ 3; BasisFreq refuses a basis longer than
+  // basis_freq.max_basis_length (20), which bounds both length caps.
+  for (size_t max_len : {0, 1, 2, 21}) {
+    QuerySpec bad_len;
+    bad_len.pb.max_basis_length = max_len;
+    EXPECT_FALSE(bad_len.Validate().ok()) << max_len;
+  }
+  QuerySpec wide_fast_path;
+  wide_fast_path.pb.single_basis_lambda_cap = 21;
+  EXPECT_FALSE(wide_fast_path.Validate().ok());
+  QuerySpec narrow_bins;
+  narrow_bins.pb.basis_freq.max_basis_length = 8;
+  narrow_bins.pb.single_basis_lambda_cap = 8;
+  narrow_bins.pb.max_basis_length = 8;
+  EXPECT_TRUE(narrow_bins.Validate().ok());
+  narrow_bins.pb.max_basis_length = 9;
+  EXPECT_FALSE(narrow_bins.Validate().ok());
+
   EXPECT_TRUE(QuerySpec().Validate().ok());
   EXPECT_TRUE(QuerySpec().WithThreshold(0.1, 100).Validate().ok());
 }
 
 TEST(EngineTest, InvalidSpecRejectedBeforeAnySpend) {
   auto dataset = SmallDataset(1.0);
-  auto release = Engine::Run(*dataset, QuerySpec().WithTopK(0));
-  EXPECT_FALSE(release.ok());
-  EXPECT_EQ(release.status().code(), StatusCode::kInvalidArgument);
+  // Out-of-range basis lengths used to fail inside ConstructBasisSet
+  // (ℓ < 3) or BasisFreq (a basis over its cap) after the whole ε had
+  // been reserved.
+  std::vector<QuerySpec> refused{QuerySpec().WithTopK(0)};
+  for (size_t max_len : {1, 2, 21}) {
+    QuerySpec spec = QuerySpec().WithTopK(10);
+    spec.pb.max_basis_length = max_len;
+    spec.pb.single_basis_lambda_cap = 0;  // always construct a basis set
+    refused.push_back(spec);
+  }
+  refused.push_back(QuerySpec().WithTopK(10));
+  refused.back().pb.single_basis_lambda_cap = 100;
+  for (const QuerySpec& spec : refused) {
+    auto release = Engine::Run(*dataset, spec);
+    EXPECT_EQ(release.status().code(), StatusCode::kInvalidArgument)
+        << "max_basis_length " << spec.pb.max_basis_length
+        << ", single_basis_lambda_cap " << spec.pb.single_basis_lambda_cap;
+  }
   EXPECT_EQ(dataset->accountant()->spent_epsilon(), 0.0);
+  EXPECT_TRUE(dataset->accountant()->ledger().empty());
+
+  // The lower bound itself runs, on the untouched budget.
+  QuerySpec shortest = QuerySpec().WithTopK(10);
+  shortest.pb.max_basis_length = 3;
+  shortest.pb.single_basis_lambda_cap = 0;
+  auto ok = Engine::Run(*dataset, shortest);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_LE(ok->basis_set.Length(), 3u);
 }
 
 TEST(EngineTest, BudgetExhaustionAcrossRepeatedQueries) {

@@ -33,6 +33,16 @@ dependency) so CI fails when a refactor quietly violates one:
                       consume two independent draws (breaking the ε
                       accounting) or leak a worker-local noised count.
 
+  data-blind-basis    Basis construction (src/core/construct_basis.*,
+                      error_variance.*, basis.*, and the clique code in
+                      src/graph/) may name no randomness token and no
+                      data-access type (TransactionDatabase, Dataset,
+                      CountExecutor, VerticalIndex). Algorithm 3's step 4
+                      costs no ε only because ConstructBasisSet reads
+                      nothing but the already-released F and P; a basis
+                      built from the data, or from a fresh draw, would be
+                      an unaccounted release.
+
   failpoint-manifest  Every fault-injection site name — static
                       failpoint::Hit("...") literals, the dynamic
                       <prefix>_{write,rename,append,sync} families minted
@@ -65,6 +75,12 @@ PRIVACY_BLIND_DIRS = (
     "src/server/", "src/store/", "src/shard/", "src/data/", "src/fim/")
 
 WIRE_TOKEN = re.compile(r"\bshardwire::")
+
+DATA_TOKENS = re.compile(
+    r"\b(TransactionDatabase|Dataset|CountExecutor|VerticalIndex)\b")
+DATA_BLIND_PATHS = (
+    "src/core/construct_basis.", "src/core/error_variance.",
+    "src/core/basis.", "src/graph/")
 
 LEASE_BIND = re.compile(r"\bBudgetLease\s+(\w+)\s*[,;)]")
 LEASE_RESOLVED = (
@@ -207,6 +223,22 @@ def check_wire_after_noise(path, code, raw):
     return findings
 
 
+def check_data_blind_basis(path, code, raw):
+    del raw
+    findings = []
+    if not path.startswith(DATA_BLIND_PATHS):
+        return findings
+    for tokens, kind in ((NOISE_TOKENS, "randomness"),
+                         (DATA_TOKENS, "data-access")):
+        for match in tokens.finditer(code):
+            findings.append(Finding(
+                "data-blind-basis", path, line_of(code, match.start()),
+                f"{kind} token `{match.group(1)}` in basis construction: "
+                "ConstructBasisSet is free of ε only while it reads "
+                "nothing but the released F and P"))
+    return findings
+
+
 def collect_sites(root, rel_paths):
     """All failpoint site names the tree defines or references."""
     sites = {}  # name -> first "path:line"
@@ -264,7 +296,7 @@ def check_failpoint_manifest(root, rel_paths):
 
 
 FILE_RULES = (check_noise_containment, check_lease_resolution,
-              check_wire_after_noise)
+              check_wire_after_noise, check_data_blind_basis)
 
 
 def lint_tree(root, verbose=False):
@@ -332,6 +364,13 @@ SELF_TEST_CASES = {
         "void Ship(Rng& rng) {\n"
         "  double noised = SampleLaplace(rng, 1.0);\n"
         "  shardwire::WriteFrame(noised);\n"
+        "}\n"
+        "}\n"),
+    "data-blind-basis": (
+        "src/core/construct_basis.cc",
+        "namespace privbasis {\n"
+        "Result<BasisSet> Peek(const TransactionDatabase& db) {\n"
+        "  return BasisSet({db.Transaction(0)});\n"
         "}\n"
         "}\n"),
 }
