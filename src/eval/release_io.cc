@@ -1,70 +1,8 @@
 #include "eval/release_io.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 namespace privbasis {
-
-std::string WriteReleaseTsv(const std::vector<NoisyItemset>& released) {
-  std::string out = "# items\tnoisy_count\n";
-  char buf[64];
-  for (const auto& r : released) {
-    for (size_t i = 0; i < r.items.size(); ++i) {
-      if (i > 0) out += ' ';
-      out += std::to_string(r.items[i]);
-    }
-    std::snprintf(buf, sizeof(buf), "\t%.6f\n", r.noisy_count);
-    out += buf;
-  }
-  return out;
-}
-
-Result<std::vector<NoisyItemset>> ReadReleaseTsv(const std::string& text) {
-  std::vector<NoisyItemset> out;
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      return Status::IoError("line " + std::to_string(line_no) +
-                             ": missing tab separator");
-    }
-    std::vector<Item> items;
-    const char* p = line.c_str();
-    const char* end = p + tab;
-    while (p < end) {
-      while (p < end && *p == ' ') ++p;
-      if (p >= end) break;
-      char* tok_end = nullptr;
-      unsigned long raw = std::strtoul(p, &tok_end, 10);
-      if (tok_end == p || tok_end > end) {
-        return Status::IoError("line " + std::to_string(line_no) +
-                               ": malformed item");
-      }
-      items.push_back(static_cast<Item>(raw));
-      p = tok_end;
-    }
-    if (items.empty()) {
-      return Status::IoError("line " + std::to_string(line_no) +
-                             ": empty itemset");
-    }
-    char* count_end = nullptr;
-    double count = std::strtod(line.c_str() + tab + 1, &count_end);
-    if (count_end == line.c_str() + tab + 1) {
-      return Status::IoError("line " + std::to_string(line_no) +
-                             ": malformed count");
-    }
-    out.push_back(NoisyItemset{Itemset(std::move(items)), count});
-  }
-  return out;
-}
 
 json::Value ItemsetToJson(const Itemset& itemset) {
   json::Value::Array items;
@@ -129,30 +67,6 @@ Result<std::vector<NoisyItemset>> ReleaseItemsetsFromJson(
     out.push_back(NoisyItemset{std::move(*items), count});
   }
   return out;
-}
-
-Status WriteReleaseTsvFile(const std::vector<NoisyItemset>& released,
-                           const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open '" + path + "': " +
-                           std::strerror(errno));
-  }
-  out << WriteReleaseTsv(released);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<std::vector<NoisyItemset>> ReadReleaseTsvFile(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "': " +
-                           std::strerror(errno));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ReadReleaseTsv(buffer.str());
 }
 
 }  // namespace privbasis

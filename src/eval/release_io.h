@@ -1,14 +1,11 @@
-// Serialization of private releases in two formats:
-//   * TSV, one itemset per line ("item item ...\tnoisy_count") — the
-//     human-facing CLI/archive format (counts rounded to 6 decimals).
-//   * JSON values ([{"items": [...], "noisy_count": c}, ...]) — the
-//     machine format shared with the query server's wire layer
-//     (server/wire.h). Counts round-trip bit for bit, so a release
-//     served over HTTP re-parses identical to the in-process one.
+// JSON serialization of private releases
+// ([{"items": [...], "noisy_count": c}, ...]) — the machine format
+// shared with the query server's wire layer (server/wire.h). Counts
+// round-trip bit for bit, so a release served over HTTP re-parses
+// identical to the in-process one.
 #ifndef PRIVBASIS_EVAL_RELEASE_IO_H_
 #define PRIVBASIS_EVAL_RELEASE_IO_H_
 
-#include <string>
 #include <vector>
 
 #include "common/json.h"
@@ -16,13 +13,6 @@
 #include "fim/miner.h"
 
 namespace privbasis {
-
-/// Serializes a release to TSV ("items separated by spaces \t count\n").
-std::string WriteReleaseTsv(const std::vector<NoisyItemset>& released);
-
-/// Parses TSV produced by WriteReleaseTsv. Lines starting with '#' and
-/// blank lines are skipped. Fails on malformed rows.
-Result<std::vector<NoisyItemset>> ReadReleaseTsv(const std::string& text);
 
 /// One itemset as a JSON array of item ids in canonical sorted order —
 /// the shared building block of the release form below and the wire
@@ -41,11 +31,6 @@ json::Value ReleaseItemsetsToJson(const std::vector<NoisyItemset>& released);
 /// non-negative integers.
 Result<std::vector<NoisyItemset>> ReleaseItemsetsFromJson(
     const json::Value& value);
-
-/// File variants.
-Status WriteReleaseTsvFile(const std::vector<NoisyItemset>& released,
-                           const std::string& path);
-Result<std::vector<NoisyItemset>> ReadReleaseTsvFile(const std::string& path);
 
 }  // namespace privbasis
 

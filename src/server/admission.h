@@ -49,8 +49,8 @@ struct AdmissionOptions {
   /// predicted latency exceeds this is shed with 429 before any work.
   /// 0 disables cost-model shedding (queue-depth shedding remains).
   int64_t slo_ms = 0;
-  /// Maximum pending (accepted but not yet running) connections in the
-  /// worker pool before new arrivals are shed with 503. 0 = unbounded.
+  /// Maximum pending (dispatched but not yet running) requests in the
+  /// worker pool before new requests are shed with 503. 0 = unbounded.
   size_t max_queue_depth = 0;
 };
 
@@ -58,11 +58,11 @@ struct AdmissionOptions {
 enum class ShedReason {
   kNone,           ///< admitted
   kPredictedCost,  ///< predicted latency exceeds the SLO → 429
-  /// Worker queue at max_queue_depth. At accept time any new connection
-  /// is shed (503); at query time only queries that are ALSO expensive
-  /// (predicted > SLO/2) are shed (429) — a query already holding a
-  /// worker is the capacity, and shedding cheap ones too would collapse
-  /// throughput under sustained overload.
+  /// Worker queue at max_queue_depth. A request dispatched to the full
+  /// queue is shed (503); once a query holds a worker, it is shed (429)
+  /// only if it is ALSO expensive (predicted > SLO/2) — a query already
+  /// holding a worker is the capacity, and shedding cheap ones too would
+  /// collapse throughput under sustained overload.
   kQueueFull,
 };
 
@@ -120,13 +120,6 @@ class AdmissionController {
   /// Decides one query given its predicted work and the current worker
   /// queue depth. Never blocks.
   AdmissionDecision Decide(double work_units, size_t queue_depth) const;
-
-  /// True when a brand-new connection should be shed at accept time
-  /// (queue-depth bound only; no spec is available yet).
-  bool ShedConnection(size_t queue_depth) const {
-    return options_.max_queue_depth > 0 &&
-           queue_depth >= options_.max_queue_depth;
-  }
 
   /// Backoff hint for queue-full sheds: roughly how long until the
   /// queue drains one slot, floored at 1 s.

@@ -1,6 +1,7 @@
-// Minimal HTTP/1.1 on top of common/net: request parsing with explicit
-// limit outcomes, response writing, and a tiny blocking client used by
-// the tests and the bench_smoke server_latency phase.
+// Minimal HTTP/1.1 for the epoll event loop: request parsing with
+// explicit limit outcomes, response serialization, and a tiny blocking
+// client (on common/net) used by the tests and the bench_smoke
+// server_latency phase.
 //
 // Scope is deliberately narrow — the subset the query server needs:
 // Content-Length bodies only (no chunked transfer), no TLS, case-
@@ -18,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/net.h"
 #include "common/status.h"
 
 namespace privbasis::server {
@@ -58,23 +58,18 @@ struct HttpLimits {
   size_t max_body_bytes = 1024 * 1024;
 };
 
-/// How reading one request ended. kClosed (clean EOF between requests)
-/// is the one non-response outcome; all others either carry a request or
-/// name the response the server must send.
+/// Why reading one request failed at the protocol level; each value
+/// names the error response the server must send before closing.
 enum class HttpReadOutcome {
-  kOk,              ///< `request` is complete
-  kClosed,          ///< orderly EOF before any request byte
   kTimeout,         ///< deadline hit mid-request → 408
   kMalformed,       ///< grammar violation → 400
   kHeaderTooLarge,  ///< → 431
   kBodyTooLarge,    ///< → 413
-  kIoError,         ///< transport error; just drop the connection
 };
 
-/// How one non-blocking parse attempt over a byte buffer ended. The
-/// pure-buffer twin of HttpReadOutcome: no transport, no deadline —
-/// kNeedMore simply means "feed me more bytes", so both the blocking
-/// ReadHttpRequest and the epoll event loop share one parser.
+/// How one non-blocking parse attempt over a byte buffer ended. No
+/// transport, no deadline — kNeedMore simply means "feed me more
+/// bytes" — so the epoll event loop can call it on every read.
 enum class HttpParseOutcome {
   kNeedMore,        ///< incomplete; append more bytes and call again
   kOk,              ///< `request` is complete (consumed from the buffer)
@@ -100,22 +95,10 @@ HttpParseResult ParseHttpRequest(std::string* buffer,
                                  const HttpLimits& limits,
                                  HttpRequest* request);
 
-/// Reads one request from `fd` (appending to / consuming from `buffer`,
-/// which carries pipelined bytes between calls on a keep-alive
-/// connection). Blocks until a full request, a limit, or `deadline`.
-HttpReadOutcome ReadHttpRequest(const net::Fd& fd, const HttpLimits& limits,
-                                net::Deadline deadline, std::string* buffer,
-                                HttpRequest* request);
-
 /// Renders `response` as wire bytes (status line, Content-Type/Length
 /// framing — suppressed for 204 per RFC 7230 §3.3.2 — extra headers,
-/// Connection: close, body). Shared by WriteHttpResponse and the event
-/// loop's write queue.
+/// Connection: close, body) for the event loop's write queue.
 std::string SerializeHttpResponse(const HttpResponse& response);
-
-/// Writes `response` with Content-Length and Connection headers.
-Status WriteHttpResponse(const net::Fd& fd, const HttpResponse& response,
-                         net::Deadline deadline);
 
 /// Standard reason phrase for the handful of codes the server emits.
 const char* HttpReasonPhrase(int status);

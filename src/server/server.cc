@@ -272,7 +272,6 @@ HttpResponse QueryServer::ProtocolErrorResponse(HttpReadOutcome outcome) const {
       response.status = 413;
       break;
     case HttpReadOutcome::kMalformed:
-    default:
       response =
           ErrorResponse(Status::InvalidArgument("malformed HTTP request"));
       break;

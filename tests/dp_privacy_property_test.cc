@@ -12,7 +12,6 @@
 
 #include "common/rng.h"
 #include "dp/exponential_mechanism.h"
-#include "dp/geometric_mechanism.h"
 #include "dp/laplace_mechanism.h"
 
 namespace privbasis {
@@ -49,18 +48,6 @@ TEST(PrivacyPropertyTest, LaplaceCountQuery) {
   }
   // Discretizing to unit bins keeps the ratio bound: each bin integrates
   // the density over one unit, and densities are e^ε-close pointwise.
-  CheckRatioBound(histogram_d, histogram_d_prime, trials, epsilon, 0.08);
-}
-
-TEST(PrivacyPropertyTest, GeometricCountQuery) {
-  const double epsilon = 0.4;
-  Rng rng(3);
-  const int trials = 400000;
-  std::map<int64_t, int> histogram_d, histogram_d_prime;
-  for (int t = 0; t < trials; ++t) {
-    histogram_d[GeometricPerturb(rng, 20, 1.0, epsilon)]++;
-    histogram_d_prime[GeometricPerturb(rng, 21, 1.0, epsilon)]++;
-  }
   CheckRatioBound(histogram_d, histogram_d_prime, trials, epsilon, 0.08);
 }
 

@@ -4,6 +4,8 @@
 //     400, never a silently mis-split target (RFC 7230 §3.1.1);
 //   * the pure-buffer parser handles byte-at-a-time delivery and
 //     pipelined requests;
+//   * a head over 16 KiB is a 431, terminated or not; one at the limit
+//     parses;
 //   * HttpCall parses the status token after the first space (an
 //     "HTTP/2 200" status line must not read garbage at offset 9);
 //   * 204 responses carry no Content-Length and no body
@@ -125,6 +127,41 @@ TEST(HttpParseTest, PipelinedRequestsConsumeOneAtATime) {
   EXPECT_EQ(request.target, "/second");
   EXPECT_EQ(request.body, "ok");
   EXPECT_TRUE(buffer.empty());
+}
+
+// --- header-size limit (431) -------------------------------------------
+
+/// A complete request head (request line, one padding header, CRLFCRLF)
+/// of exactly `size` bytes.
+std::string HeadOfSize(size_t size) {
+  const std::string prefix = "GET /a HTTP/1.1\r\nX-Pad: ";
+  return prefix + std::string(size - prefix.size() - 4, 'p') + "\r\n\r\n";
+}
+
+TEST(HttpParseTest, UnterminatedHeadOverLimitIs431) {
+  // 17 KiB of headers and still no CRLFCRLF: waiting for more bytes
+  // would let a client grow the buffer without bound.
+  std::string buffer = "GET /a HTTP/1.1\r\n";
+  while (buffer.size() < 17 * 1024) buffer += "X-Pad: 0123456789abcdef\r\n";
+  HttpRequest request;
+  EXPECT_EQ(ParseHttpRequest(&buffer, HttpLimits{}, &request).outcome,
+            HttpParseOutcome::kHeaderTooLarge);
+}
+
+TEST(HttpParseTest, CompleteHeadOverLimitIs431) {
+  EXPECT_EQ(ParseOne(HeadOfSize(HttpLimits{}.max_header_bytes + 1)),
+            HttpParseOutcome::kHeaderTooLarge);
+}
+
+TEST(HttpParseTest, HeadUpToLimitParses) {
+  const size_t limit = HttpLimits{}.max_header_bytes;
+  for (size_t size : {limit - 1, limit}) {
+    HttpRequest request;
+    ASSERT_EQ(ParseOne(HeadOfSize(size), &request), HttpParseOutcome::kOk)
+        << size << "-byte head";
+    EXPECT_EQ(request.target, "/a");
+    EXPECT_NE(request.Header("X-Pad"), nullptr);
+  }
 }
 
 // --- HttpCall status-line parsing --------------------------------------

@@ -80,14 +80,9 @@ TEST(AdmissionControllerTest, DecideShedsOnCostAndQueueButNotCheapWork) {
   EXPECT_FALSE(crowded.admit);
   EXPECT_EQ(crowded.reason, ShedReason::kQueueFull);
 
-  // Brand-new connections are bounded purely by depth (no spec yet).
-  EXPECT_FALSE(admission.ShedConnection(3));
-  EXPECT_TRUE(admission.ShedConnection(4));
-
   // Disabled knobs admit everything.
   AdmissionController off({});
   EXPECT_TRUE(off.Decide(1e12, 1000).admit);
-  EXPECT_FALSE(off.ShedConnection(1000));
 }
 
 TEST(AdmissionControllerTest, CostModelOrdersSpecsAndCalibrates) {

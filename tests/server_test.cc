@@ -203,6 +203,33 @@ TEST(ServerTest, OversizedBodyIs413) {
   EXPECT_EQ(response->status, 413);
 }
 
+TEST(ServerTest, OversizedHeadersAre431AndClose) {
+  auto server = StartServer();
+  auto fd = net::ConnectTcp(server->host(), server->port(),
+                            net::DeadlineAfterMs(kCallTimeoutMs));
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  std::string request = "GET /healthz HTTP/1.1\r\nHost: t\r\n";
+  while (request.size() < 17 * 1024) {
+    request += "X-Pad: 0123456789abcdef\r\n";
+  }
+  request += "\r\n";
+  ASSERT_TRUE(
+      net::WriteAll(*fd, request, net::DeadlineAfterMs(kCallTimeoutMs)).ok());
+  // Read to EOF: the server answers, then closes the connection.
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    auto n = net::ReadSome(*fd, buf, sizeof(buf),
+                           net::DeadlineAfterMs(kCallTimeoutMs));
+    ASSERT_TRUE(n.ok()) << n.status();
+    if (*n == 0) break;
+    response.append(buf, *n);
+  }
+  EXPECT_TRUE(response.starts_with("HTTP/1.1 431")) << response;
+  EXPECT_NE(response.find("\r\nConnection: close\r\n"), std::string::npos)
+      << response;
+}
+
 TEST(ServerTest, RequestDeadlineIs408) {
   ServerOptions options;
   options.request_deadline_ms = 150;

@@ -53,7 +53,9 @@ dependency) so CI fails when a refactor quietly violates one:
                       manifest entry means coverage silently evaporated.
 
 False positives are suppressed in tools/privacy_lint_suppressions.txt,
-one `rule path-substring` pair per line. `--self-test` runs each rule
+one `rule path-substring` pair per line. A suppression line that matches
+no finding is itself a finding (stale-suppression): it would silently
+hide the next real violation in that path. `--self-test` runs each rule
 against a seeded violation and fails unless every rule fires.
 
 Usage:
@@ -312,15 +314,15 @@ def lint_tree(root, verbose=False):
                         os.path.join(dirpath, name), root))
     rel_paths.sort()
 
-    suppressions = []
+    suppressions = []  # (rule, path substring, line number)
     sup_path = os.path.join(root, SUPPRESSIONS)
     if os.path.exists(sup_path):
         with open(sup_path, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if line:
                     rule, _, path_sub = line.partition(" ")
-                    suppressions.append((rule, path_sub.strip()))
+                    suppressions.append((rule, path_sub.strip(), line_no))
 
     findings = []
     for path in rel_paths:
@@ -334,13 +336,21 @@ def lint_tree(root, verbose=False):
     findings.extend(check_failpoint_manifest(root, rel_paths))
 
     kept = []
+    used = set()
     for finding in findings:
-        if any(finding.rule == rule and path_sub in finding.path
-               for rule, path_sub in suppressions):
+        matches = {line_no for rule, path_sub, line_no in suppressions
+                   if finding.rule == rule and path_sub in finding.path}
+        if matches:
+            used |= matches
             if verbose:
                 print(f"suppressed: {finding}")
             continue
         kept.append(finding)
+    for rule, path_sub, line_no in suppressions:
+        if line_no not in used:
+            kept.append(Finding(
+                "stale-suppression", SUPPRESSIONS, line_no,
+                f"`{rule} {path_sub}` suppresses no finding; delete it"))
     return kept
 
 
@@ -403,6 +413,16 @@ def self_test(root):
                    "unregistered_site" in f.message for f in hits):
             failures.append("rule `failpoint-manifest` did not flag an "
                             "unregistered site")
+        # stale-suppression: a suppression matching no finding must be
+        # reported, while one that does match stays silent.
+        with open(os.path.join(tmp, SUPPRESSIONS), "w",
+                  encoding="utf-8") as fh:
+            fh.write("failpoint-manifest src/evil.cc\n"
+                     "noise-containment src/gone.cc\n")
+        stale = [f for f in lint_tree(tmp) if f.rule == "stale-suppression"]
+        if [f.line for f in stale] != [2]:
+            failures.append("rule `stale-suppression` did not flag exactly "
+                            "the unmatched suppression line")
     # And the real tree must be clean, or CI green means nothing.
     real = lint_tree(root)
     if failures:
@@ -415,7 +435,7 @@ def self_test(root):
         for finding in real:
             print(f"  {finding}", file=sys.stderr)
         return 2
-    print(f"privacy_lint self-test: all {len(SELF_TEST_CASES) + 1} rules "
+    print(f"privacy_lint self-test: all {len(SELF_TEST_CASES) + 2} rules "
           "fire on seeded violations; tree clean")
     return 0
 

@@ -66,8 +66,8 @@ void PrintUsage(const char* argv0) {
       "  --slo-ms MS        admission SLO: shed (429 + Retry-After) any\n"
       "                     query whose predicted latency exceeds MS\n"
       "                     (default 0 = no cost-model shedding)\n"
-      "  --max-queue N      bounded worker queue: shed new arrivals once\n"
-      "                     N connections are already queued (503 +\n"
+      "  --max-queue N      bounded worker queue: shed a new request once\n"
+      "                     N requests are already queued (503 +\n"
       "                     Retry-After; default 0 = unbounded)\n"
       "  --batch-window-us US\n"
       "                     same-dataset query batching: concurrent\n"
