@@ -5,7 +5,6 @@
 
 #include "data/synthetic.h"
 #include "fim/apriori.h"
-#include "fim/eclat.h"
 #include "fim/fpgrowth.h"
 #include "fim/topk.h"
 
@@ -74,19 +73,6 @@ void BM_TopKThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopKThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// Eclat scaling: root equivalence classes as pool tasks.
-void BM_EclatThreads(benchmark::State& state) {
-  const auto& db = Mushroom();
-  MiningOptions options;
-  options.min_support = db.NumTransactions() * 40 / 100;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto result = MineEclat(db, options);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_EclatThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace
 }  // namespace privbasis

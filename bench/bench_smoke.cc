@@ -208,28 +208,6 @@ void RunSuite() {
           UnwrapStatus(release.status(), "Engine::Run (warm)");
         },
         {{"dataset", "kosarak"}});
-
-    // Sharded scatter-gather: the same warm query through a
-    // LocalShardExecutor at 1/2/4 shards. Releases are bit-identical
-    // across fanouts (exact counting consumes no RNG); this phase tracks
-    // the merge overhead and the intra-query parallelism win.
-    for (size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      Dataset::Options shard_options;
-      shard_options.num_shards = num_shards;
-      auto sharded = Dataset::Borrow(kosarak, shard_options);
-      // Warm the margin cache and the executor build so the phase times
-      // steady-state sharded queries only.
-      if (!sharded->MarginSupport(k, spec.pb.eta).ok()) std::abort();
-      UnwrapStatus(Engine::Run(*sharded, spec).status(),
-                   "Engine::Run (shard warm-up)");
-      TimePhase(
-          "shard_scaling",
-          [&] {
-            auto release = Engine::Run(*sharded, spec);
-            UnwrapStatus(release.status(), "Engine::Run (sharded)");
-          },
-          {{"dataset", "kosarak"}, {"shards", std::to_string(num_shards)}});
-    }
   }
 
   // Query-server round trip over loopback HTTP: the full service path

@@ -26,11 +26,6 @@ double LaplaceCdf(double x, double scale) {
   return 1.0 - 0.5 * std::exp(-x / scale);
 }
 
-double SampleExponential(Rng& rng, double rate) {
-  assert(rate > 0.0);
-  return -std::log(rng.NextDoubleOpen()) / rate;
-}
-
 double SampleGumbel(Rng& rng) {
   return -std::log(-std::log(rng.NextDoubleOpen()));
 }

@@ -1,6 +1,6 @@
 // Samplers for the distributions the library needs: Laplace (the DP noise
-// workhorse), exponential, Gumbel (log-space exponential mechanism), Zipf
-// (synthetic long-tail item marginals) and weighted discrete choice.
+// workhorse), Gumbel (log-space exponential mechanism), Zipf (synthetic
+// long-tail item marginals) and weighted discrete choice.
 #ifndef PRIVBASIS_COMMON_DISTRIBUTIONS_H_
 #define PRIVBASIS_COMMON_DISTRIBUTIONS_H_
 
@@ -21,9 +21,6 @@ double LaplaceInverseCdf(double u, double scale);
 
 /// CDF of Laplace(0, scale).
 double LaplaceCdf(double x, double scale);
-
-/// Sample from Exponential(rate): density rate·exp(−rate·x), x ≥ 0.
-double SampleExponential(Rng& rng, double rate);
 
 /// Sample from the standard Gumbel distribution: −log(−log(U)).
 double SampleGumbel(Rng& rng);

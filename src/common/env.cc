@@ -51,9 +51,4 @@ double BitmapDensityThreshold() {
   return GetEnvDouble("PRIVBASIS_BITMAP_DENSITY", 1.0 / 64.0);
 }
 
-int NumShards() {
-  return static_cast<int>(
-      std::clamp<int64_t>(GetEnvInt("PRIVBASIS_SHARDS", 1), 1, 64));
-}
-
 }  // namespace privbasis

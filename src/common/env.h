@@ -35,11 +35,6 @@ int NumThreads();
 /// Values ≥ 1 disable bitmaps; ≤ 0 densifies every item.
 double BitmapDensityThreshold();
 
-/// Default in-process shard count for Dataset handles: PRIVBASIS_SHARDS,
-/// default 1 (no sharding). Clamped to [1, 64]. Shard counts never
-/// change results — partial supports merge exactly (src/shard).
-int NumShards();
-
 // The kernel dispatch level ("avx2" | "scalar") is the PRIVBASIS_SIMD
 // knob, resolved by common/simd.h (simd::ActiveLevel).
 

@@ -21,6 +21,14 @@ size_t EffectiveThreads(size_t requested) {
   return std::clamp<size_t>(requested, 1, kMaxThreads);
 }
 
+size_t CountScanRanges(size_t n, size_t threads, uint64_t arena_words) {
+  if (threads <= 1 || n < 4096) return 1;
+  const size_t budget = std::max<uint64_t>(
+      1, (uint64_t{128} << 20) / 8 / std::max<uint64_t>(1, arena_words));
+  return std::clamp<size_t>(std::min({threads, n / 2048, budget}), 1,
+                            kMaxThreads);
+}
+
 ThreadPool::ThreadPool(size_t num_workers) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {

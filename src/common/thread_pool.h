@@ -17,6 +17,7 @@
 #define PRIVBASIS_COMMON_THREAD_POOL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -33,6 +34,14 @@ inline constexpr size_t kMaxThreads = 64;
 /// PRIVBASIS_THREADS env knob, else std::thread::hardware_concurrency().
 /// Always in [1, kMaxThreads].
 size_t EffectiveThreads(size_t requested);
+
+/// How many contiguous ranges a counting scan of `n` transactions splits
+/// into when each range fills its own array of `arena_words` exact
+/// 64-bit counts (CountBasisBins, CountPairSupports): 1 unless `threads`
+/// exceeds 1 and n ≥ 4096; else at most one range per thread and per
+/// 2048 transactions, with the per-range arrays kept under ~128 MiB.
+/// Summed counts do not depend on the split.
+size_t CountScanRanges(size_t n, size_t threads, uint64_t arena_words);
 
 class ThreadPool {
  public:

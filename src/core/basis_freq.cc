@@ -139,14 +139,7 @@ Result<std::vector<std::vector<uint64_t>>> CountBasisBins(
   uint64_t total_bins = 0;
   for (size_t i = 0; i < w; ++i) total_bins += uint64_t{1} << basis_len[i];
   const size_t threads = EffectiveThreads(num_threads);
-  size_t num_shards = 1;
-  if (threads > 1 && n >= 4096) {
-    // Keep the per-shard bin arena under ~128 MiB.
-    const size_t budget =
-        std::max<uint64_t>(1, (uint64_t{128} << 20) / 8 / total_bins);
-    num_shards = std::clamp<size_t>(std::min({threads, n / 2048, budget}),
-                                    1, kMaxThreads);
-  }
+  const size_t num_shards = CountScanRanges(n, threads, total_bins);
   // Cancellation granularity: one poll per kCancelChunk transactions (and
   // one per shard entry), so a fired token stops the scan within one
   // chunk rather than after the full shard. The failpoint site lets tests

@@ -40,11 +40,7 @@ Result<std::vector<std::vector<uint64_t>>> DirectCountExecutor::BasisBinCounts(
 
 Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
     const std::vector<Item>& items, const CancelToken* cancel) const {
-  std::vector<uint64_t> counts = CountPairSupports(*db_, items, cancel);
-  if (IsCancelled(cancel)) {
-    return Status::Cancelled("pair counting cancelled mid-scan");
-  }
-  return counts;
+  return CountPairSupports(*db_, items, num_threads_, cancel);
 }
 
 Result<std::vector<uint64_t>> DirectCountExecutor::SupportOfMany(

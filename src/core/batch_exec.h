@@ -19,11 +19,11 @@
 // fired during a shared scan gets kCancelled even when the scan
 // finished — fail-closed either way.
 //
-// DirectCountExecutor adapts the unsharded direct-scan path (the same
+// DirectCountExecutor adapts the direct-scan path (the same
 // CountBasisBins / CountPairSupports / VerticalIndex::SupportOfMany
 // calls the mechanisms make when no executor is attached) to the
 // CountExecutor interface, so batching composes with fanout 1 as well
-// as with the sharded executors.
+// as with the coordinator's RemoteShardExecutor.
 #ifndef PRIVBASIS_CORE_BATCH_EXEC_H_
 #define PRIVBASIS_CORE_BATCH_EXEC_H_
 
@@ -47,10 +47,11 @@ struct BatchStats {
   std::atomic<uint64_t> scans_saved{0};      ///< Σ over batches of (n − 1)
 };
 
-/// The unsharded direct-scan path behind the CountExecutor interface:
-/// every op calls the exact function the mechanisms use when no
-/// executor is attached, so attaching this executor never changes a
-/// release bit.
+/// The direct-scan path behind the CountExecutor interface: every op
+/// calls the exact function the mechanisms use when no executor is
+/// attached, so attaching this executor never changes a release bit.
+/// `num_threads` bounds the pair and bin scans and the batch supports
+/// (0 = the PRIVBASIS_THREADS env knob).
 class DirectCountExecutor : public CountExecutor {
  public:
   DirectCountExecutor(std::shared_ptr<const TransactionDatabase> db,

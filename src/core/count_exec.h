@@ -10,12 +10,14 @@
 // any shard count, because the noise is drawn once, from the merged
 // counts, by the unchanged RNG stream.
 //
-// Implementations (src/shard): LocalShardExecutor fans the scan over an
-// in-process ShardedDatabase; RemoteShardExecutor scatters to
+// Implementations: DirectCountExecutor (core/batch_exec.h) runs the
+// mechanisms' own scans of the whole database, which split over the
+// thread pool; RemoteShardExecutor (src/shard) scatters to
 // privbasis_shardd worker processes over the length-prefixed wire
-// protocol. The interface lives in src/core (not src/shard) because the
-// mechanisms must be able to call through it without core depending on
-// the shard subsystem.
+// protocol; BatchingCountExecutor wraps either to fuse concurrent
+// queries' scans. The interface lives in src/core (not
+// src/shard) because the mechanisms must be able to call through it
+// without core depending on the shard subsystem.
 //
 // Error contract: an executor that cannot produce the exact count —
 // a dead worker, a fired deadline — returns a non-OK status
@@ -48,7 +50,8 @@ class CountExecutor {
   /// Exact BasisFreq bin histograms: out[i][mask] = number of
   /// transactions whose intersection with basis i is exactly the subset
   /// `mask` encodes. Identical to core CountBasisBins on the whole
-  /// database (tests/shard_test.cc pins the equality bit for bit).
+  /// database (tests/shard_remote_test.cc pins the equality bit for
+  /// bit).
   virtual Result<std::vector<std::vector<uint64_t>>> BasisBinCounts(
       const BasisSet& basis_set, const CancelToken* cancel) const = 0;
 

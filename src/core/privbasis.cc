@@ -1,10 +1,12 @@
 #include "core/privbasis.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <unordered_map>
 
 #include "common/logspace.h"
+#include "common/thread_pool.h"
 #include "core/construct_basis.h"
 #include "core/count_exec.h"
 #include "dp/budget.h"
@@ -63,30 +65,59 @@ Result<std::vector<size_t>> GetFreqElements(
   return pool.SelectK(rng, count, factor);
 }
 
-std::vector<uint64_t> CountPairSupports(const TransactionDatabase& db,
-                                        const std::vector<Item>& items,
-                                        const CancelToken* cancel) {
+Result<std::vector<uint64_t>> CountPairSupports(
+    const TransactionDatabase& db, const std::vector<Item>& items,
+    size_t num_threads, const CancelToken* cancel) {
   const size_t m = items.size();
   std::unordered_map<Item, uint32_t> local;
   local.reserve(m * 2);
   for (uint32_t i = 0; i < m; ++i) local.emplace(items[i], i);
 
   std::vector<uint64_t> counts(m * m, 0);
-  std::vector<uint32_t> present;
-  for (size_t t = 0; t < db.NumTransactions(); ++t) {
-    if (t % 1024 == 0 && IsCancelled(cancel)) return counts;
-    present.clear();
-    for (Item it : db.Transaction(t)) {
-      auto found = local.find(it);
-      if (found != local.end()) present.push_back(found->second);
-    }
-    for (size_t a = 0; a < present.size(); ++a) {
-      for (size_t b = a + 1; b < present.size(); ++b) {
-        uint32_t i = std::min(present[a], present[b]);
-        uint32_t j = std::max(present[a], present[b]);
-        ++counts[static_cast<size_t>(i) * m + j];
-      }
-    }
+  const size_t n = db.NumTransactions();
+  if (m < 2 || n == 0) return counts;
+
+  // The scan splits into contiguous transaction ranges on the pool, one
+  // exact m×m count array per range, summed in range order, so the
+  // counts are identical at every thread count.
+  const size_t threads = EffectiveThreads(num_threads);
+  const size_t num_ranges = CountScanRanges(n, threads, m * m);
+  constexpr size_t kCancelChunk = 1024;
+  std::atomic<bool> cancelled{false};
+  std::vector<std::vector<uint64_t>> range_counts(
+      num_ranges, std::vector<uint64_t>(m * m, 0));
+  ThreadPool::Global().ParallelFor(
+      0, n, (n + num_ranges - 1) / num_ranges, threads,
+      [&](size_t range_begin, size_t range_end, size_t r) {
+        std::vector<uint64_t>& local_counts = range_counts[r];
+        std::vector<uint32_t> present;
+        for (size_t t = range_begin; t < range_end; ++t) {
+          if ((t - range_begin) % kCancelChunk == 0) {
+            if (cancelled.load(std::memory_order_relaxed)) return;
+            if (IsCancelled(cancel)) {
+              cancelled.store(true, std::memory_order_relaxed);
+              return;
+            }
+          }
+          present.clear();
+          for (Item it : db.Transaction(t)) {
+            auto found = local.find(it);
+            if (found != local.end()) present.push_back(found->second);
+          }
+          for (size_t a = 0; a < present.size(); ++a) {
+            for (size_t b = a + 1; b < present.size(); ++b) {
+              uint32_t i = std::min(present[a], present[b]);
+              uint32_t j = std::max(present[a], present[b]);
+              ++local_counts[static_cast<size_t>(i) * m + j];
+            }
+          }
+        }
+      });
+  if (cancelled.load(std::memory_order_relaxed)) {
+    return Status::Cancelled("pair counting cancelled mid-scan");
+  }
+  for (const std::vector<uint64_t>& partial : range_counts) {
+    for (size_t i = 0; i < counts.size(); ++i) counts[i] += partial[i];
   }
   return counts;
 }
@@ -213,10 +244,10 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
               " pair counts for " + std::to_string(f.size()) + " items");
         }
       } else {
-        pair_counts = CountPairSupports(db, f, options.cancel);
-        if (IsCancelled(options.cancel)) {
-          return Status::Cancelled("pair counting cancelled mid-scan");
-        }
+        PRIVBASIS_ASSIGN_OR_RETURN(
+            pair_counts,
+            CountPairSupports(db, f, options.basis_freq.num_threads,
+                              options.cancel));
       }
       std::vector<std::pair<uint32_t, uint32_t>> pair_index;
       std::vector<uint64_t> qualities;

@@ -67,6 +67,7 @@ struct PrivBasisOptions {
   /// scan stay on the caller, which retains the full database. Mirrored
   /// into basis_freq.exec when that is unset.
   const CountExecutor* exec = nullptr;
+  /// Step 5 options. Their num_threads also bounds the step 3 pair scan.
   BasisFreqOptions basis_freq;
 };
 
@@ -125,12 +126,13 @@ Result<std::vector<size_t>> GetFreqElements(
 
 /// Exact pair-support counting restricted to `items`: one data scan,
 /// returns the dense upper-triangular counts, pair (i, j) with i < j at
-/// index i*|items| + j. A fired `cancel` token stops the scan within one
-/// transaction chunk and returns the partial counts — the caller must
-/// check the token and discard them (RunPrivBasisImpl does).
-std::vector<uint64_t> CountPairSupports(const TransactionDatabase& db,
-                                        const std::vector<Item>& items,
-                                        const CancelToken* cancel = nullptr);
+/// index i*|items| + j. The scan splits over the thread pool like
+/// CountBasisBins (`num_threads` 0 = the PRIVBASIS_THREADS env knob) and
+/// the counts are identical at every thread count. A fired `cancel`
+/// token unwinds with kCancelled within one transaction chunk.
+Result<std::vector<uint64_t>> CountPairSupports(
+    const TransactionDatabase& db, const std::vector<Item>& items,
+    size_t num_threads = 0, const CancelToken* cancel = nullptr);
 
 }  // namespace privbasis
 

@@ -4,12 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "common/env.h"
 #include "core/batch_exec.h"
 #include "data/dataset_io.h"
 #include "fim/topk.h"
-#include "shard/shard_exec.h"
-#include "shard/sharded_db.h"
 
 namespace privbasis {
 
@@ -17,10 +14,7 @@ Dataset::Dataset(std::shared_ptr<const TransactionDatabase> db,
                  Options options)
     : db_(std::move(db)),
       options_(options),
-      accountant_(std::make_shared<Accountant>(options.total_epsilon)),
-      resolved_shards_(options.num_shards != 0
-                           ? options.num_shards
-                           : static_cast<size_t>(NumShards())) {}
+      accountant_(std::make_shared<Accountant>(options.total_epsilon)) {}
 
 std::shared_ptr<Dataset> Dataset::Create(TransactionDatabase db,
                                          Options options) {
@@ -74,62 +68,32 @@ std::shared_ptr<const VerticalIndex> Dataset::Index() const {
 }
 
 std::shared_ptr<const CountExecutor> Dataset::count_executor() const {
-  MutexLock lock(executor_.mu);
-  if (!executor_.built) {
-    if (resolved_shards_ <= 1) {
-      // Unsharded: mechanisms scan db() directly. Cache the nullptr so
-      // repeated queries skip the shard-count check.
-      executor_.value = nullptr;
-    } else {
-      shard_builds_.fetch_add(1, std::memory_order_relaxed);
-      auto partitioned = ShardedDatabase::Create(*db_, resolved_shards_);
-      // Create() fails only on zero shards, which resolved_shards_ can
-      // never be; fall back to unsharded rather than crash regardless.
-      if (partitioned.ok()) {
-        executor_.value = std::make_shared<const LocalShardExecutor>(
-            std::make_shared<const ShardedDatabase>(std::move(*partitioned)),
-            options_.num_threads);
-      } else {
-        executor_.value = nullptr;
-      }
-    }
-    executor_.built = true;
-  }
-  return executor_.value;
+  MutexLock lock(executor_mu_);
+  return executor_;
 }
 
 std::shared_ptr<const CountExecutor> Dataset::EnsureCountExecutor() const {
   std::shared_ptr<const CountExecutor> exec = count_executor();
   if (exec != nullptr) return exec;
-  // Unsharded: adapt the direct-scan path. Build the index OUTSIDE the
-  // executor lock (Index() takes its own cell lock).
+  // Adapt the direct-scan path. Build the index OUTSIDE the executor
+  // lock (Index() takes its own cell lock).
   std::shared_ptr<const VerticalIndex> index = Index();
-  MutexLock lock(executor_.mu);
-  if (executor_.value == nullptr) {
-    executor_.value = std::make_shared<const DirectCountExecutor>(
+  MutexLock lock(executor_mu_);
+  if (executor_ == nullptr) {
+    executor_ = std::make_shared<const DirectCountExecutor>(
         db_, std::move(index), options_.num_threads);
-    executor_.built = true;
   }
-  return executor_.value;
+  return executor_;
 }
 
 void Dataset::AttachCountExecutor(std::shared_ptr<const CountExecutor> exec) {
-  MutexLock lock(executor_.mu);
-  executor_.value = std::move(exec);
-  executor_.built = true;
+  MutexLock lock(executor_mu_);
+  executor_ = std::move(exec);
 }
 
 size_t Dataset::shard_fanout() const {
-  {
-    MutexLock lock(executor_.mu);
-    if (executor_.built) {
-      return executor_.value != nullptr ? executor_.value->NumShards() : 1;
-    }
-  }
-  // Not built yet: report what the lazy build would produce, without
-  // forcing the (potentially expensive) partitioning from the admission
-  // path.
-  return resolved_shards_;
+  MutexLock lock(executor_mu_);
+  return executor_ != nullptr ? executor_->NumShards() : 1;
 }
 
 Result<uint64_t> Dataset::BuildMarginSupport(size_t k1,
@@ -218,7 +182,6 @@ Dataset::CacheCounters Dataset::cache_counters() const {
   counters.margin_mines = margin_mines_.load(std::memory_order_relaxed);
   counters.truth_mines = truth_mines_.load(std::memory_order_relaxed);
   counters.tf_builds = tf_builds_.load(std::memory_order_relaxed);
-  counters.shard_builds = shard_builds_.load(std::memory_order_relaxed);
   return counters;
 }
 

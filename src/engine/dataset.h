@@ -50,14 +50,10 @@ struct DatasetOptions {
   /// Total ε this dataset may ever spend across all queries.
   /// kUnlimited tracks spend without refusing any query.
   double total_epsilon = Accountant::kUnlimited;
-  /// Parallelism for cache construction (index build, top-k mining);
+  /// Parallelism for cache construction (index build, top-k mining) and
+  /// for the counting scans of an executor built by EnsureCountExecutor;
   /// 0 = the PRIVBASIS_THREADS env knob.
   size_t num_threads = 0;
-  /// In-process horizontal shard count for counting scans; 0 = the
-  /// PRIVBASIS_SHARDS env knob (default 1 = unsharded). Never changes
-  /// results — partial supports merge exactly (src/shard) — so this is
-  /// purely an execution knob.
-  size_t num_shards = 0;
 };
 
 class Dataset {
@@ -99,19 +95,19 @@ class Dataset {
   /// Memoized hybrid tid-list index (built on first use).
   std::shared_ptr<const VerticalIndex> Index() const;
 
-  /// The scatter-gather executor queries on this dataset count through:
-  /// the attached one (coordinator mode), else a lazily built in-process
-  /// LocalShardExecutor when the effective shard count exceeds 1, else
-  /// nullptr (unsharded — mechanisms scan `db()` directly). Memoized;
-  /// the handle keeps the returned executor alive.
+  /// The executor queries on this dataset count through: the attached
+  /// one (the coordinator's RemoteShardExecutor, the server's batcher),
+  /// else the one EnsureCountExecutor built, else nullptr (mechanisms
+  /// scan `db()` directly). The handle keeps the returned executor
+  /// alive.
   std::shared_ptr<const CountExecutor> count_executor() const;
 
-  /// Like count_executor(), but never nullptr: when the dataset is
-  /// unsharded it lazily builds (and memoizes) a DirectCountExecutor
-  /// over db() + Index() — the exact functions the mechanisms call when
-  /// no executor is attached, so routing counts through it never
-  /// changes a release bit. The batching layer wraps this so it can
-  /// fuse scans regardless of fan-out.
+  /// Like count_executor(), but never nullptr: when none is set it
+  /// builds (and memoizes) a DirectCountExecutor over db() + Index() —
+  /// the exact functions the mechanisms call when no executor is
+  /// attached, so routing counts through it never changes a release
+  /// bit. The batching layer wraps this so it can fuse scans regardless
+  /// of fan-out.
   std::shared_ptr<const CountExecutor> EnsureCountExecutor() const;
 
   /// Installs an externally built executor (the server's coordinator
@@ -121,7 +117,8 @@ class Dataset {
   void AttachCountExecutor(std::shared_ptr<const CountExecutor> exec);
 
   /// Effective counting fan-out: the executor's shard count, or 1 when
-  /// unsharded. The admission cost model divides predicted work by this.
+  /// there is none. The admission cost model divides predicted work by
+  /// this.
   size_t shard_fanout() const;
 
   /// Memoized support of the ⌈η·k⌉-th most frequent itemset — the
@@ -156,6 +153,8 @@ class Dataset {
     size_t margin_mines = 0;
     size_t truth_mines = 0;
     size_t tf_builds = 0;
+    /// Always 0: a Dataset never partitions itself. Kept because the
+    /// benchmark driver sums it into its cache-build count.
     size_t shard_builds = 0;
   };
   CacheCounters cache_counters() const;
@@ -201,13 +200,12 @@ class Dataset {
   Options options_;
   std::shared_ptr<Accountant> accountant_;
 
-  /// options_.num_shards resolved against the PRIVBASIS_SHARDS env knob
-  /// at construction (always ≥ 1).
-  size_t resolved_shards_ = 1;
-
   mutable CacheCell<DatasetStats> stats_;
   mutable CacheCell<std::shared_ptr<const VerticalIndex>> index_;
-  mutable CacheCell<std::shared_ptr<const CountExecutor>> executor_;
+  /// The attached executor, or the one EnsureCountExecutor built.
+  mutable Mutex executor_mu_;
+  mutable std::shared_ptr<const CountExecutor> executor_
+      PB_GUARDED_BY(executor_mu_);
   mutable KeyedCache<size_t, uint64_t> margins_;  // k1 -> support
   mutable KeyedCache<size_t, std::shared_ptr<const GroundTruth>> truths_;
   mutable KeyedCache<TfKey, std::shared_ptr<const TfRunner>> tf_runners_;
@@ -218,7 +216,6 @@ class Dataset {
   mutable std::atomic<size_t> margin_mines_{0};
   mutable std::atomic<size_t> truth_mines_{0};
   mutable std::atomic<size_t> tf_builds_{0};
-  mutable std::atomic<size_t> shard_builds_{0};
 };
 
 }  // namespace privbasis

@@ -44,11 +44,11 @@ Result<PreparedQuery> Prepare(const Dataset& dataset, const QuerySpec& spec) {
       // BasisFreq pass each poll it once per work chunk.
       prepared.pb.cancel = spec.cancel;
       prepared.pb.basis_freq.cancel = spec.cancel;
-      // Route counting scans through the dataset's scatter-gather
-      // executor (nullptr when unsharded). The subsampled path scans a
-      // fresh subsample database, which the dataset's shards don't
-      // cover, so it stays on the direct path. The raw pointer is owned
-      // by the Dataset's memoized cell, which outlives this run.
+      // Route counting scans through the dataset's executor (nullptr
+      // when none is set: the mechanisms then scan db() directly). The
+      // subsampled path scans a fresh subsample database, which the
+      // executor does not cover, so it stays on the direct path. The
+      // shared_ptr in `prepared` keeps the executor alive for the run.
       if (spec.sampling_rate >= 1.0 && prepared.pb.exec == nullptr) {
         prepared.exec = dataset.count_executor();
         prepared.pb.exec = prepared.exec.get();

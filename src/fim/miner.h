@@ -36,9 +36,10 @@ struct MiningOptions {
   /// O(num_root_classes · (max_patterns + 1)) patterns, not
   /// O(max_patterns); the returned set is always ≤ max_patterns.
   uint64_t max_patterns = 0;
-  /// Parallelism for miners with a parallel path (Eclat, and the
-  /// VerticalIndex they build); 0 = the PRIVBASIS_THREADS env knob.
-  /// Results are identical at every thread count.
+  /// Parallelism for miners with a parallel path (FP-Growth's tree build
+  /// and first projection level, Apriori's batched support counting);
+  /// 0 = the PRIVBASIS_THREADS env knob. Results are identical at every
+  /// thread count.
   size_t num_threads = 0;
   /// Cooperative cancellation (common/cancel.h): the miner polls once
   /// per work chunk and returns StatusCode::kCancelled if the token has

@@ -377,8 +377,8 @@ Status QueryServer::AttachExecutors(const std::string& id,
     PRIVBASIS_RETURN_NOT_OK(ShardToWorkers(id, dataset));
   }
   if (!BatchingEnabled()) return Status::OK();
-  // Wrap whatever the dataset counts through (remote fleet, local
-  // shards, or the direct scan) so same-dataset queries can share scans.
+  // Wrap whatever the dataset counts through (the remote fleet or the
+  // direct scan) so same-dataset queries can share scans.
   // Fused counts merge exactly before any noise draw, so attaching the
   // batcher never changes a release bit.
   auto batcher = std::make_shared<BatchingCountExecutor>(
@@ -394,8 +394,8 @@ Status QueryServer::AttachExecutors(const std::string& id,
 
 Status QueryServer::ShardToWorkers(const std::string& id,
                                    const std::shared_ptr<Dataset>& dataset) {
-  // Same contiguous partition the in-process executor would use, so a
-  // coordinator-served release is bit-identical to a local one.
+  // Contiguous slices whose exact counts sum to the whole database's,
+  // so a coordinator-served release is bit-identical to a local one.
   PRIVBASIS_ASSIGN_OR_RETURN(
       ShardedDatabase slices,
       ShardedDatabase::Create(dataset->db(), shard_workers_.size()));
@@ -656,9 +656,7 @@ HttpResponse QueryServer::HandleStats() {
   stats.ns_per_unit = admission_.model().ns_per_unit();
   stats.recent_query_ms = admission_.model().recent_query_ms();
   stats.shard_workers = shard_workers_.size();
-  stats.shard_fanout = shard_workers_.empty()
-                           ? static_cast<uint64_t>(NumShards())
-                           : shard_workers_.size();
+  stats.shard_fanout = std::max<size_t>(1, shard_workers_.size());
   stats.batch_window_us = batch_window_us_;
   stats.batch_max = BatchingEnabled() ? max_batch_ : 0;
   if (batch_stats_ != nullptr) {

@@ -27,24 +27,4 @@ Result<ShardedDatabase> ShardedDatabase::Create(const TransactionDatabase& db,
   return ShardedDatabase(std::move(shards), n, db.UniverseSize());
 }
 
-ShardedDatabase::ShardedDatabase(std::vector<TransactionDatabase> shards,
-                                 size_t num_transactions,
-                                 uint32_t universe_size)
-    : shards_(std::move(shards)),
-      num_transactions_(num_transactions),
-      universe_size_(universe_size) {
-  index_cells_.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    index_cells_.push_back(std::make_unique<IndexCell>());
-  }
-}
-
-const VerticalIndex& ShardedDatabase::Index(size_t s) const {
-  IndexCell& cell = *index_cells_[s];
-  std::call_once(cell.once, [&] {
-    cell.index = std::make_unique<VerticalIndex>(shards_[s]);
-  });
-  return *cell.index;
-}
-
 }  // namespace privbasis

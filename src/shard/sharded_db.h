@@ -1,26 +1,22 @@
 // ShardedDatabase: horizontal partition of a TransactionDatabase.
 //
 // Transactions are split into N contiguous ranges [n·s/N, n·(s+1)/N);
-// each shard owns its own TransactionDatabase slice (with the parent's
-// item universe, so per-shard ItemSupports line up index-for-index) and
-// a lazily built VerticalIndex. Because every quantity the mechanisms
-// consume is an exact integer count, per-shard partials merge by plain
-// addition — the shard count is an execution detail that never shows up
-// in results (tests/shard_test.cc pins this bit for bit).
-//
-// This type is the in-process half of the scatter-gather story; the
-// same slices are what the coordinator ships to privbasis_shardd worker
-// processes (shard/wire.h).
+// each shard owns its own TransactionDatabase slice, with the parent's
+// item universe so per-shard ItemSupports line up index-for-index. The
+// coordinator ships one slice to each privbasis_shardd worker process
+// (shard/wire.h). Because every quantity the mechanisms consume is an
+// exact integer count, per-slice partials merge by plain addition — the
+// shard count is an execution detail that never shows up in results
+// (tests/shard_test.cc and tests/shard_remote_test.cc pin this bit for
+// bit).
 #ifndef PRIVBASIS_SHARD_SHARDED_DB_H_
 #define PRIVBASIS_SHARD_SHARDED_DB_H_
 
-#include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "data/transaction_db.h"
-#include "data/vertical_index.h"
 
 namespace privbasis {
 
@@ -37,27 +33,18 @@ class ShardedDatabase {
   /// The slice owned by shard `s`.
   const TransactionDatabase& shard(size_t s) const { return shards_[s]; }
 
-  /// Shard `s`'s VerticalIndex, built on first use (one scan of the
-  /// slice) and memoized. Thread-safe; concurrent first callers build
-  /// once.
-  const VerticalIndex& Index(size_t s) const;
-
   /// Total transactions across all shards (= the parent's N).
   size_t NumTransactions() const { return num_transactions_; }
   uint32_t UniverseSize() const { return universe_size_; }
 
  private:
-  struct IndexCell {
-    std::once_flag once;
-    std::unique_ptr<VerticalIndex> index;
-  };
-
   ShardedDatabase(std::vector<TransactionDatabase> shards,
-                  size_t num_transactions, uint32_t universe_size);
+                  size_t num_transactions, uint32_t universe_size)
+      : shards_(std::move(shards)),
+        num_transactions_(num_transactions),
+        universe_size_(universe_size) {}
 
   std::vector<TransactionDatabase> shards_;
-  // unique_ptr cells: once_flag is immovable, the vector is not.
-  std::vector<std::unique_ptr<IndexCell>> index_cells_;
   size_t num_transactions_ = 0;
   uint32_t universe_size_ = 0;
 };

@@ -213,11 +213,9 @@ Result<std::string> ShardWorker::HandleOp(const shardwire::Frame& request) {
                                  reader.GetU32Vec());
       PRIVBASIS_RETURN_NOT_OK(reader.ExpectEnd());
       std::vector<Item> items(raw_items.begin(), raw_items.end());
-      std::vector<uint64_t> counts =
-          CountPairSupports(shard->db, items, cancel);
-      if (IsCancelled(cancel)) {
-        return Status::Cancelled("shard pair counting cancelled mid-scan");
-      }
+      PRIVBASIS_ASSIGN_OR_RETURN(
+          std::vector<uint64_t> counts,
+          CountPairSupports(shard->db, items, options_.num_threads, cancel));
       shardwire::Writer w;
       w.PutU64Vec(counts);
       return std::move(w).Take();

@@ -66,23 +66,6 @@ TEST(LaplaceTest, EmpiricalCdfMatches) {
   EXPECT_NEAR(below_one / static_cast<double>(n), LaplaceCdf(1.0, 1.0), 0.005);
 }
 
-TEST(ExponentialTest, MeanIsInverseRate) {
-  Rng rng(7);
-  for (double rate : {0.5, 1.0, 4.0}) {
-    double sum = 0;
-    const int n = 200000;
-    for (int i = 0; i < n; ++i) sum += SampleExponential(rng, rate);
-    EXPECT_NEAR(sum / n, 1.0 / rate, 0.02 / rate + 0.01);
-  }
-}
-
-TEST(ExponentialTest, NonNegative) {
-  Rng rng(9);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(SampleExponential(rng, 1.0), 0.0);
-  }
-}
-
 TEST(GumbelTest, MeanIsEulerGamma) {
   Rng rng(11);
   double sum = 0;

@@ -352,10 +352,9 @@ TEST(BatchExecTest, FusedOpsSplitBackExactly) {
   auto dataset = Dataset::Create(db);
   std::shared_ptr<const CountExecutor> direct = dataset->EnsureCountExecutor();
   ASSERT_NE(direct, nullptr);
-  // Under PRIVBASIS_SHARDS this is the dataset's sharded executor rather
-  // than a DirectCountExecutor; the fused/solo equivalence below must
-  // hold either way.
-  ASSERT_GE(direct->NumShards(), 1u);
+  // A fresh dataset has no executor attached, so this is the
+  // DirectCountExecutor over the whole database.
+  ASSERT_EQ(direct->NumShards(), 1u);
 
   auto stats = std::make_shared<BatchStats>();
   BatchingCountExecutor batcher(

@@ -1,7 +1,7 @@
 // The parallel counting engine's core contract: thread count is a pure
-// performance knob. Every path — the sharded BasisFreq scan, Eclat's
-// root-class dispatch, parallel top-k mining, and the hybrid index — must
-// produce bit-identical output at 1, 2, and 8 threads.
+// performance knob. Every path — the range-split BasisFreq and pair
+// scans, parallel top-k mining, and the hybrid index — must produce
+// bit-identical output at 1, 2, and 8 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +11,9 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/basis_freq.h"
+#include "core/privbasis.h"
 #include "data/synthetic.h"
 #include "data/vertical_index.h"
-#include "fim/eclat.h"
 #include "fim/fpgrowth.h"
 #include "fim/topk.h"
 #include "test_util.h"
@@ -62,39 +62,29 @@ TEST(ParallelDeterminismTest, BasisFreqBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminismTest, EclatIdenticalAcrossThreadCounts) {
+// The pair scan splits into per-range count arrays summed in range
+// order. The brute-force oracle counts each pair over the whole
+// database, so a range the sum dropped or counted twice shows up as a
+// wrong count, at every thread count that splits.
+TEST(ParallelDeterminismTest, PairSupportsIdenticalAcrossThreadCounts) {
   const auto& db = BigDb();
-  std::vector<MiningResult> results;
-  for (size_t threads : {1u, 2u, 8u}) {
-    MiningOptions options;
-    options.min_support = db.NumTransactions() / 3;
-    options.num_threads = threads;
-    auto result = MineEclat(db, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_FALSE(result->aborted);
-    results.push_back(std::move(result).value());
+  ASSERT_GE(db.NumTransactions(), 4096u) << "split scan would not engage";
+  // The most frequent items, in frequency order (not sorted by id), so
+  // most pairs have nonzero support.
+  std::vector<Item> items = db.ItemsByFrequency();
+  items.resize(16);
+  const size_t m = items.size();
+  std::vector<uint64_t> expected(m * m, 0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = i + 1; j < m; ++j) {
+      expected[i * m + j] = db.SupportOf(Itemset({items[i], items[j]}));
+    }
   }
-  EXPECT_FALSE(results[0].itemsets.empty());
-  EXPECT_EQ(results[0].itemsets, results[1].itemsets);
-  EXPECT_EQ(results[0].itemsets, results[2].itemsets);
-}
-
-TEST(ParallelDeterminismTest, EclatTruncationIdenticalAcrossThreadCounts) {
-  const auto& db = BigDb();
-  std::vector<MiningResult> results;
   for (size_t threads : {1u, 2u, 8u}) {
-    MiningOptions options;
-    options.min_support = db.NumTransactions() / 6;
-    options.max_patterns = 37;
-    options.num_threads = threads;
-    auto result = MineEclat(db, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->aborted);
-    EXPECT_EQ(result->itemsets.size(), 37u);
-    results.push_back(std::move(result).value());
+    PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> counts,
+                                   CountPairSupports(db, items, threads));
+    EXPECT_EQ(counts, expected) << threads << " threads";
   }
-  EXPECT_EQ(results[0].itemsets, results[1].itemsets);
-  EXPECT_EQ(results[0].itemsets, results[2].itemsets);
 }
 
 TEST(ParallelDeterminismTest, TopKIdenticalAcrossThreadCounts) {

@@ -100,7 +100,8 @@ TEST(GetFreqElementsTest, WithoutReplacement) {
 TEST(CountPairSupportsTest, MatchesBruteForce) {
   TransactionDatabase db = MakeRandomDb({.seed = 4, .universe = 10});
   std::vector<Item> items{0, 2, 5, 7};
-  auto counts = CountPairSupports(db, items);
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> counts,
+                                 CountPairSupports(db, items));
   for (size_t i = 0; i < items.size(); ++i) {
     for (size_t j = i + 1; j < items.size(); ++j) {
       EXPECT_EQ(counts[i * items.size() + j],
@@ -112,7 +113,9 @@ TEST(CountPairSupportsTest, MatchesBruteForce) {
 
 TEST(CountPairSupportsTest, EmptyItems) {
   TransactionDatabase db = MakeDb({{0, 1}});
-  EXPECT_TRUE(CountPairSupports(db, {}).empty());
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> counts,
+                                 CountPairSupports(db, {}));
+  EXPECT_TRUE(counts.empty());
 }
 
 TEST(PrivBasisQueryTest, ValidatesArguments) {

@@ -97,7 +97,9 @@ TEST(ShardRemoteTest, RemoteCountsMatchDirectScan) {
   const std::vector<Item> items = {0, 1, 2, 4, 7};
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> pairs,
                                  exec.PairSupports(items, nullptr));
-  EXPECT_EQ(pairs, CountPairSupports(db, items, nullptr));
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> expected_pairs,
+                                 CountPairSupports(db, items));
+  EXPECT_EQ(pairs, expected_pairs);
 
   BasisSet basis_set;
   basis_set.Add(Itemset({0, 1, 2}));

@@ -3,31 +3,30 @@
 //
 //   * Partitioning covers every transaction exactly once, at any shard
 //     count (including counts above N — empty tails).
-//   * Every CountExecutor op — item supports, pair supports, basis bin
-//     counts, batch itemset supports — merges per-shard partials to the
-//     bit-identical integers a single-shard scan produces, at 1/2/4/8
-//     shards, with candidates from all three exact miners.
-//   * The full mechanism through the executor seam: BasisFreq and
-//     Engine::Run produce bit-identical releases at every shard count
-//     and the same seed (the scan consumes no randomness, so the noise
-//     stream cannot shift).
+//   * Every count a privbasis_shardd worker computes on its slice — item
+//     supports, pair supports, basis bin counts, batch itemset supports —
+//     sums over the slices to the bit-identical integers a scan of the
+//     whole database produces, at 1/2/4/8 slices, with candidates from
+//     the exact miners.
 //   * Cancellation fails closed: a fired token surfaces kCancelled from
 //     the executor, never a partial count.
+//
+// tests/shard_remote_test.cc drives the same counts through the worker
+// processes' wire protocol and Engine::Run end to end.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "core/basis_freq.h"
+#include "core/batch_exec.h"
 #include "core/count_exec.h"
 #include "core/privbasis.h"
 #include "data/vertical_index.h"
 #include "engine/dataset.h"
 #include "engine/engine.h"
 #include "fim/apriori.h"
-#include "fim/eclat.h"
 #include "fim/fpgrowth.h"
-#include "shard/shard_exec.h"
 #include "shard/sharded_db.h"
 #include "test_util.h"
 
@@ -40,13 +39,40 @@ using privbasis::testing::RandomDbSpec;
 
 constexpr size_t kShardCounts[] = {1, 2, 4, 8};
 
-LocalShardExecutor MakeExecutor(const TransactionDatabase& db,
-                                size_t num_shards) {
-  auto partitioned = ShardedDatabase::Create(db, num_shards);
-  EXPECT_TRUE(partitioned.ok()) << partitioned.status().ToString();
-  return LocalShardExecutor(
-      std::make_shared<const ShardedDatabase>(std::move(*partitioned)),
-      /*num_threads=*/2);
+/// Enough transactions that the whole-database scans, and the slices of
+/// a 2-way split, take the pool-split path.
+constexpr size_t kSplitTransactions = 10000;
+
+template <typename T>
+T ValueOrFail(Result<T> result) {
+  if (!result.ok()) {
+    ADD_FAILURE() << result.status().ToString();
+    return T{};
+  }
+  return std::move(result).value();
+}
+
+void AddInto(std::vector<uint64_t>* sum, const std::vector<uint64_t>& part) {
+  ASSERT_EQ(sum->size(), part.size());
+  for (size_t i = 0; i < part.size(); ++i) (*sum)[i] += part[i];
+}
+
+void AddInto(std::vector<std::vector<uint64_t>>* sum,
+             const std::vector<std::vector<uint64_t>>& part) {
+  ASSERT_EQ(sum->size(), part.size());
+  for (size_t i = 0; i < part.size(); ++i) AddInto(&(*sum)[i], part[i]);
+}
+
+/// Runs `count` on each slice — what a privbasis_shardd worker runs on
+/// its slice — and sums the results in slice order, as the coordinator
+/// merges the workers' replies.
+template <typename CountFn>
+auto SumOverSlices(const ShardedDatabase& sharded, CountFn count) {
+  auto sum = count(sharded.shard(0));
+  for (size_t s = 1; s < sharded.NumShards(); ++s) {
+    AddInto(&sum, count(sharded.shard(s)));
+  }
+  return sum;
 }
 
 TEST(ShardedDatabaseTest, PartitionCoversEveryTransactionOnce) {
@@ -93,28 +119,37 @@ TEST(ShardExecTest, ItemSupportsMergeExactly) {
   const TransactionDatabase db = MakeRandomDb({.seed = 11});
   const std::vector<uint64_t>& expected = db.ItemSupports();
   for (const size_t num_shards : kShardCounts) {
-    const LocalShardExecutor exec = MakeExecutor(db, num_shards);
-    PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> merged,
-                                   exec.ItemSupports(nullptr));
+    PRIVBASIS_ASSERT_OK_AND_ASSIGN(ShardedDatabase sharded,
+                                   ShardedDatabase::Create(db, num_shards));
+    const std::vector<uint64_t> merged = SumOverSlices(
+        sharded,
+        [](const TransactionDatabase& slice) { return slice.ItemSupports(); });
     EXPECT_EQ(merged, expected) << num_shards << " shards";
   }
 }
 
 TEST(ShardExecTest, PairSupportsMergeExactly) {
-  const TransactionDatabase db = MakeRandomDb({.seed = 13});
+  const TransactionDatabase db =
+      MakeRandomDb({.seed = 13, .num_transactions = kSplitTransactions});
   const std::vector<Item> items = {0, 1, 2, 3, 5, 8};
-  const std::vector<uint64_t> expected =
-      CountPairSupports(db, items, nullptr);
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(
+      std::vector<uint64_t> expected,
+      CountPairSupports(db, items, /*num_threads=*/1));
   for (const size_t num_shards : kShardCounts) {
-    const LocalShardExecutor exec = MakeExecutor(db, num_shards);
-    PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> merged,
-                                   exec.PairSupports(items, nullptr));
+    PRIVBASIS_ASSERT_OK_AND_ASSIGN(ShardedDatabase sharded,
+                                   ShardedDatabase::Create(db, num_shards));
+    const std::vector<uint64_t> merged = SumOverSlices(
+        sharded, [&](const TransactionDatabase& slice) {
+          return ValueOrFail(
+              CountPairSupports(slice, items, /*num_threads=*/4));
+        });
     EXPECT_EQ(merged, expected) << num_shards << " shards";
   }
 }
 
 TEST(ShardExecTest, BasisBinCountsMergeExactly) {
-  const TransactionDatabase db = MakeRandomDb({.seed = 17});
+  const TransactionDatabase db =
+      MakeRandomDb({.seed = 17, .num_transactions = kSplitTransactions});
   BasisSet basis_set;
   basis_set.Add(Itemset({0, 1, 2}));
   basis_set.Add(Itemset({1, 3, 5, 7}));
@@ -123,15 +158,19 @@ TEST(ShardExecTest, BasisBinCountsMergeExactly) {
       std::vector<std::vector<uint64_t>> expected,
       CountBasisBins(db, basis_set, /*num_threads=*/1));
   for (const size_t num_shards : kShardCounts) {
-    const LocalShardExecutor exec = MakeExecutor(db, num_shards);
-    PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> merged,
-                                   exec.BasisBinCounts(basis_set, nullptr));
+    PRIVBASIS_ASSERT_OK_AND_ASSIGN(ShardedDatabase sharded,
+                                   ShardedDatabase::Create(db, num_shards));
+    const std::vector<std::vector<uint64_t>> merged = SumOverSlices(
+        sharded, [&](const TransactionDatabase& slice) {
+          return ValueOrFail(
+              CountBasisBins(slice, basis_set, /*num_threads=*/4));
+        });
     EXPECT_EQ(merged, expected) << num_shards << " shards";
   }
 }
 
-// Batch supports merge exactly for candidates surfaced by EVERY exact
-// miner: the queries a real mechanism would issue, not hand-picked ones.
+// Batch supports merge exactly for candidates surfaced by the exact
+// miners: the queries a real mechanism would issue, not hand-picked ones.
 // The miners' own exact supports double as the oracle.
 TEST(ShardExecTest, SupportOfManyMergesExactlyForAllMiners) {
   const TransactionDatabase db = MakeRandomDb(
@@ -142,12 +181,11 @@ TEST(ShardExecTest, SupportOfManyMergesExactlyForAllMiners) {
 
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(MiningResult apriori,
                                  MineApriori(db, mining));
-  PRIVBASIS_ASSERT_OK_AND_ASSIGN(MiningResult eclat, MineEclat(db, mining));
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(MiningResult fpgrowth,
                                  MineFpGrowth(db, mining));
   ASSERT_FALSE(apriori.itemsets.empty());
 
-  for (const MiningResult* mined : {&apriori, &eclat, &fpgrowth}) {
+  for (const MiningResult* mined : {&apriori, &fpgrowth}) {
     std::vector<Itemset> queries;
     std::vector<uint64_t> expected;
     for (const FrequentItemset& f : mined->itemsets) {
@@ -155,100 +193,46 @@ TEST(ShardExecTest, SupportOfManyMergesExactlyForAllMiners) {
       expected.push_back(f.support);
     }
     for (const size_t num_shards : kShardCounts) {
-      const LocalShardExecutor exec = MakeExecutor(db, num_shards);
-      PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> merged,
-                                     exec.SupportOfMany(queries, nullptr));
+      PRIVBASIS_ASSERT_OK_AND_ASSIGN(ShardedDatabase sharded,
+                                     ShardedDatabase::Create(db, num_shards));
+      const std::vector<uint64_t> merged = SumOverSlices(
+          sharded, [&](const TransactionDatabase& slice) {
+            return VerticalIndex(slice).SupportOfMany(queries,
+                                                      /*num_threads=*/2);
+          });
       EXPECT_EQ(merged, expected) << num_shards << " shards";
     }
   }
 }
 
-// The whole mechanism through the seam: identical noisy releases at any
-// shard count and the same seed — the exact scan consumes no randomness,
-// so hoisting it across shards cannot shift the noise stream.
-TEST(ShardExecTest, BasisFreqBitIdenticalThroughExecutor) {
-  const TransactionDatabase db = MakeRandomDb({.seed = 23});
-  BasisSet basis_set;
-  basis_set.Add(Itemset({0, 1, 2}));
-  basis_set.Add(Itemset({2, 3, 4}));
-
-  Rng direct_rng(99);
-  PRIVBASIS_ASSERT_OK_AND_ASSIGN(
-      BasisFreqResult direct,
-      BasisFreq(db, basis_set, /*k=*/10, /*epsilon=*/1.0, direct_rng));
-
-  for (const size_t num_shards : kShardCounts) {
-    const LocalShardExecutor exec = MakeExecutor(db, num_shards);
-    BasisFreqOptions options;
-    options.exec = &exec;
-    Rng rng(99);
-    PRIVBASIS_ASSERT_OK_AND_ASSIGN(
-        BasisFreqResult sharded,
-        BasisFreq(db, basis_set, /*k=*/10, /*epsilon=*/1.0, rng,
-                  /*accountant=*/nullptr, options));
-    ASSERT_EQ(sharded.topk.size(), direct.topk.size());
-    for (size_t i = 0; i < direct.topk.size(); ++i) {
-      EXPECT_EQ(sharded.topk[i].items, direct.topk[i].items);
-      // Bit-identical doubles: == with no tolerance.
-      EXPECT_EQ(sharded.topk[i].noisy_count, direct.topk[i].noisy_count)
-          << num_shards << " shards, itemset " << i;
-    }
-  }
-}
-
-// End to end: Engine::Run over Datasets that differ only in num_shards.
-// Exercises the full PrivBasis pipeline (fk1 hint, pair counting through
-// the executor, BasisFreq) — the acceptance bit of this subsystem.
-TEST(ShardExecTest, EngineRunBitIdenticalAcrossShardCounts) {
-  const TransactionDatabase db = MakeRandomDb(
-      {.seed = 29, .num_transactions = 120, .universe = 14});
+// A fresh dataset builds no executor and no VerticalIndex, and a query
+// on it scans db() directly: its fan-out stays 1.
+TEST(ShardExecTest, UnshardedDatasetSkipsExecutor) {
+  auto dataset = Dataset::Create(
+      MakeRandomDb({.seed = 29, .num_transactions = 120, .universe = 14}));
+  EXPECT_EQ(dataset->count_executor(), nullptr);
+  EXPECT_EQ(dataset->shard_fanout(), 1u);
 
   QuerySpec spec;
   spec.k = 12;
   spec.epsilon = 1.0;
   spec.seed = 4242;
-
-  auto baseline_ds =
-      Dataset::Create(TransactionDatabase(db), {.num_shards = 1});
-  PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release baseline,
-                                 Engine::Run(*baseline_ds, spec));
-  ASSERT_FALSE(baseline.itemsets.empty());
-
-  for (const size_t num_shards : {2ul, 4ul, 8ul}) {
-    auto sharded_ds =
-        Dataset::Create(TransactionDatabase(db), {.num_shards = num_shards});
-    PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release sharded,
-                                   Engine::Run(*sharded_ds, spec));
-    // The lazy executor must actually have been built and used.
-    EXPECT_EQ(sharded_ds->cache_counters().shard_builds, 1u);
-    EXPECT_EQ(sharded_ds->shard_fanout(), num_shards);
-
-    ASSERT_EQ(sharded.itemsets.size(), baseline.itemsets.size());
-    for (size_t i = 0; i < baseline.itemsets.size(); ++i) {
-      EXPECT_EQ(sharded.itemsets[i].items, baseline.itemsets[i].items);
-      EXPECT_EQ(sharded.itemsets[i].noisy_count,
-                baseline.itemsets[i].noisy_count)
-          << num_shards << " shards, itemset " << i;
-    }
-    EXPECT_EQ(sharded.lambda, baseline.lambda);
-    EXPECT_EQ(sharded.lambda2, baseline.lambda2);
-    EXPECT_EQ(sharded.epsilon_spent, baseline.epsilon_spent);
-  }
-}
-
-// An unsharded dataset never builds an executor; shard_fanout stays 1.
-TEST(ShardExecTest, UnshardedDatasetSkipsExecutor) {
-  auto dataset = Dataset::Create(MakeDb({{0, 1}, {1, 2}}), {.num_shards = 1});
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release release,
+                                 Engine::Run(*dataset, spec));
+  EXPECT_FALSE(release.itemsets.empty());
   EXPECT_EQ(dataset->count_executor(), nullptr);
   EXPECT_EQ(dataset->shard_fanout(), 1u);
-  EXPECT_EQ(dataset->cache_counters().shard_builds, 0u);
+  EXPECT_EQ(dataset->cache_counters().index_builds, 0u);
 }
 
 // A fired token surfaces kCancelled from every op — never a partial or
-// garbage count (the fail-closed half of the executor contract).
+// garbage count (the fail-closed half of the executor contract) — on a
+// database large enough that the pair and bin scans split over the pool.
 TEST(ShardExecTest, FiredTokenFailsClosed) {
-  const TransactionDatabase db = MakeRandomDb({.seed = 31});
-  const LocalShardExecutor exec = MakeExecutor(db, 4);
+  auto db = std::make_shared<const TransactionDatabase>(
+      MakeRandomDb({.seed = 31, .num_transactions = kSplitTransactions}));
+  const DirectCountExecutor exec(
+      db, std::make_shared<const VerticalIndex>(*db), /*num_threads=*/4);
   CancelToken token;
   token.Cancel();
 
