@@ -60,9 +60,9 @@ class CancelToken {
   /// True when the token carries a wall deadline (vs explicit-only).
   bool has_deadline() const { return has_deadline_; }
 
-  /// The absolute deadline; meaningless unless has_deadline(). The shard
-  /// planner reads this to propagate the REMAINING time to shard workers
-  /// as a per-request deadline_ms.
+  /// The absolute deadline; meaningless unless has_deadline(). The query
+  /// batcher reads this to give a fused scan the LATEST of its members'
+  /// deadlines (core/batch_exec.cc).
   std::chrono::steady_clock::time_point deadline() const { return deadline_; }
 
   /// OK until the token fires, then kCancelled.

@@ -23,9 +23,8 @@ Status Errno(const std::string& what) {
 }
 
 /// Milliseconds until `deadline`, clamped for poll(): 0 when already
-/// passed, -1 (infinite) for NoDeadline.
+/// passed.
 int PollTimeoutMs(Deadline deadline) {
-  if (deadline == Deadline::max()) return -1;
   const auto now = std::chrono::steady_clock::now();
   if (deadline <= now) return 0;
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -72,8 +71,6 @@ Result<sockaddr_in> ResolveV4(const std::string& host, uint16_t port) {
 }
 
 }  // namespace
-
-Deadline NoDeadline() { return Deadline::max(); }
 
 Deadline DeadlineAfterMs(int64_t ms) {
   return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
@@ -180,10 +177,6 @@ Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
     return Errno("connect " + host + ":" + std::to_string(port));
   }
   return fd;
-}
-
-Result<bool> PollReadable(const Fd& fd, Deadline deadline) {
-  return PollFor(fd.get(), POLLIN, deadline);
 }
 
 Result<size_t> ReadSome(const Fd& fd, char* buf, size_t len,

@@ -23,9 +23,6 @@ namespace privbasis::net {
 
 using Deadline = std::chrono::steady_clock::time_point;
 
-/// A deadline that never fires (for trusted in-process peers).
-Deadline NoDeadline();
-
 /// Deadline `ms` milliseconds from now.
 Deadline DeadlineAfterMs(int64_t ms);
 
@@ -74,12 +71,6 @@ Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
 /// kDeadlineExceeded-like: Status kResourceExhausted("deadline ...").
 Result<size_t> ReadSome(const Fd& fd, char* buf, size_t len,
                         Deadline deadline);
-
-/// Waits (without consuming) until `fd` is readable — data or EOF.
-/// Returns false on deadline expiry, so idle loops can interleave a
-/// stop-flag check between short waits instead of parking in one long
-/// poll.
-Result<bool> PollReadable(const Fd& fd, Deadline deadline);
 
 /// Writes all of `data` before `deadline` or fails.
 Status WriteAll(const Fd& fd, std::string_view data, Deadline deadline);

@@ -234,11 +234,10 @@ Result<BasisFreqResult> BasisFreq(const TransactionDatabase& db,
   BasisFreqResult result;
   if (w == 0) return result;
 
-  // Lines 7–11 run FIRST: the exact bin counts — locally, or scattered
-  // across shards through the executor and merged by integer addition.
-  // Counting consumes no randomness, so hoisting it above the noise
-  // draws leaves the RNG stream untouched and the release bit-identical
-  // at any shard count.
+  // Lines 7–11 run FIRST: the exact bin counts — from a direct scan, or
+  // through the executor. Counting consumes no randomness, so hoisting
+  // it above the noise draws leaves the RNG stream untouched and the
+  // release bit-identical either way.
   PRIVBASIS_ASSIGN_OR_RETURN(
       std::vector<std::vector<uint64_t>> counts,
       options.exec != nullptr

@@ -44,10 +44,11 @@ struct BasisFreqOptions {
   /// firing. nullptr = not cancellable. Note the epsilon consumed from
   /// `accountant` stays consumed — it was reserved before the scan.
   const CancelToken* cancel = nullptr;
-  /// Scatter-gather seam: when set, the exact bin counts come from
-  /// `exec->BasisBinCounts` (merged across shards) instead of a local
-  /// scan of `db`. Bit-identical either way — the scan consumes no
-  /// randomness, so the post-merge noise draws are unchanged.
+  /// Counting seam (core/count_exec.h): when set, the exact bin counts
+  /// come from `exec->BasisBinCounts` (the server's batcher may fuse
+  /// them with other queries' scans) instead of a scan of `db`.
+  /// Bit-identical either way — the scan consumes no randomness, so the
+  /// noise draws are unchanged.
   const CountExecutor* exec = nullptr;
 };
 
@@ -60,13 +61,12 @@ struct BasisFreqResult {
   size_t num_candidates = 0;
 };
 
-/// The exact-counting half of Algorithm 1, exposed so shard workers can
-/// run it on their slice: out[i][mask] = number of transactions whose
-/// intersection with basis i is exactly the subset `mask` encodes
-/// (out[i] has 2^|Bi| entries). Consumes no randomness and merges
-/// across horizontal partitions by plain integer addition. `num_threads`
-/// 0 = the PRIVBASIS_THREADS env knob; a fired `cancel` token unwinds
-/// with kCancelled within one transaction chunk.
+/// The exact-counting half of Algorithm 1, exposed so count executors
+/// can run it: out[i][mask] = number of transactions whose intersection
+/// with basis i is exactly the subset `mask` encodes (out[i] has 2^|Bi|
+/// entries). Consumes no randomness. `num_threads` 0 = the
+/// PRIVBASIS_THREADS env knob; a fired `cancel` token unwinds with
+/// kCancelled within one transaction chunk.
 Result<std::vector<std::vector<uint64_t>>> CountBasisBins(
     const TransactionDatabase& db, const BasisSet& basis_set,
     size_t num_threads = 0, const CancelToken* cancel = nullptr);

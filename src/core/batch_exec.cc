@@ -293,61 +293,12 @@ Result<std::vector<uint64_t>> BatchingCountExecutor::PairSupports(
 
 Result<std::vector<uint64_t>> BatchingCountExecutor::SupportOfMany(
     std::span<const Itemset> queries, const CancelToken* cancel) const {
-  if (Passthrough()) return inner_->SupportOfMany(queries, cancel);
-  using Resp = std::vector<uint64_t>;
-  const ManyReq req{queries};
-  return RunBatched(
-      many_gate_, req, cancel,
-      [this](const std::vector<const ManyReq*>& reqs,
-             const std::vector<const CancelToken*>& cancels)
-          -> Result<std::vector<Resp>> {
-        if (reqs.size() == 1) {
-          PRIVBASIS_ASSIGN_OR_RETURN(
-              Resp counts, inner_->SupportOfMany(reqs[0]->queries, cancels[0]));
-          std::vector<Resp> out;
-          out.push_back(std::move(counts));
-          return out;
-        }
-        std::optional<CancelToken> storage;
-        const CancelToken* token = FusedToken(cancels, storage);
-        std::vector<Itemset> all;
-        for (const ManyReq* r : reqs) {
-          all.insert(all.end(), r->queries.begin(), r->queries.end());
-        }
-        PRIVBASIS_ASSIGN_OR_RETURN(Resp counts,
-                                   inner_->SupportOfMany(all, token));
-        std::vector<Resp> out;
-        out.reserve(reqs.size());
-        size_t pos = 0;
-        for (const ManyReq* r : reqs) {
-          const size_t len = r->queries.size();
-          out.emplace_back(counts.begin() + pos, counts.begin() + pos + len);
-          pos += len;
-        }
-        return out;
-      });
+  return inner_->SupportOfMany(queries, cancel);
 }
 
 Result<std::vector<uint64_t>> BatchingCountExecutor::ItemSupports(
     const CancelToken* cancel) const {
-  if (Passthrough()) return inner_->ItemSupports(cancel);
-  using Resp = std::vector<uint64_t>;
-  const ItemReq req{};
-  return RunBatched(item_gate_, req, cancel,
-                    [this](const std::vector<const ItemReq*>& reqs,
-                           const std::vector<const CancelToken*>& cancels)
-                        -> Result<std::vector<Resp>> {
-                      std::optional<CancelToken> storage;
-                      const CancelToken* token =
-                          reqs.size() == 1 ? cancels[0]
-                                           : FusedToken(cancels, storage);
-                      PRIVBASIS_ASSIGN_OR_RETURN(
-                          Resp supports, inner_->ItemSupports(token));
-                      // Identical answer for every member: share it.
-                      std::vector<Resp> out(reqs.size() - 1, supports);
-                      out.push_back(std::move(supports));
-                      return out;
-                    });
+  return inner_->ItemSupports(cancel);
 }
 
 }  // namespace privbasis

@@ -4,10 +4,11 @@
 // scans even though the scans are over the same transactions —
 // VerticalIndex::SupportOfMany and the fused CountBasisBins OR-word
 // path exist precisely to amortize them. BatchingCountExecutor wraps
-// any CountExecutor with a rendezvous gate per operation kind:
-// concurrent calls of the same kind are collected for a bounded window
-// (sized by the caller's live in-flight hint), fused into ONE inner
-// scan, and the exact per-member counts are split back out.
+// a CountExecutor with a rendezvous gate for each op a query calls
+// (PairSupports, BasisBinCounts): concurrent calls of the same kind are
+// collected for a bounded window (sized by the caller's live in-flight
+// hint), fused into ONE inner scan, and the exact per-member counts are
+// split back out. SupportOfMany and ItemSupports forward unbatched.
 //
 // Determinism: the fusion merges/splits EXACT integer counts before any
 // member draws noise, and a member that arrives alone passes through to
@@ -20,10 +21,10 @@
 // finished — fail-closed either way.
 //
 // DirectCountExecutor adapts the direct-scan path (the same
-// CountBasisBins / CountPairSupports / VerticalIndex::SupportOfMany
-// calls the mechanisms make when no executor is attached) to the
-// CountExecutor interface, so batching composes with fanout 1 as well
-// as with the coordinator's RemoteShardExecutor.
+// CountBasisBins / CountPairSupports calls the mechanisms make when no
+// executor is attached, plus VerticalIndex::SupportOfMany for the fused
+// pair scan) to the CountExecutor interface, so the batcher has an
+// executor to wrap.
 #ifndef PRIVBASIS_CORE_BATCH_EXEC_H_
 #define PRIVBASIS_CORE_BATCH_EXEC_H_
 
@@ -167,15 +168,9 @@ class BatchingCountExecutor : public CountExecutor {
   struct PairReq {
     const std::vector<Item>* items;
   };
-  struct ManyReq {
-    std::span<const Itemset> queries;
-  };
-  struct ItemReq {};
 
   mutable Gate<BasisBinReq, std::vector<std::vector<uint64_t>>> bin_gate_;
   mutable Gate<PairReq, std::vector<uint64_t>> pair_gate_;
-  mutable Gate<ManyReq, std::vector<uint64_t>> many_gate_;
-  mutable Gate<ItemReq, std::vector<uint64_t>> item_gate_;
 };
 
 }  // namespace privbasis

@@ -60,12 +60,11 @@ struct PrivBasisOptions {
   /// and pair counting); the Engine also mirrors this into
   /// basis_freq.cancel. nullptr = not cancellable.
   const CancelToken* cancel = nullptr;
-  /// Scatter-gather seam (core/count_exec.h): when set, the exact pair
+  /// Counting seam (core/count_exec.h): when set, the exact pair
   /// supports of step 3 and the BasisFreq bin counts of step 5 come from
-  /// the executor's merged per-shard counts instead of local scans.
-  /// Bit-identical either way; mining (the fk1 hint) and the item-support
-  /// scan stay on the caller, which retains the full database. Mirrored
-  /// into basis_freq.exec when that is unset.
+  /// the executor instead of direct scans of `db`. Bit-identical either
+  /// way; mining (the fk1 hint) and item selection read `db` directly.
+  /// Mirrored into basis_freq.exec when that is unset.
   const CountExecutor* exec = nullptr;
   /// Step 5 options. Their num_threads also bounds the step 3 pair scan.
   BasisFreqOptions basis_freq;

@@ -91,11 +91,6 @@ void Dataset::AttachCountExecutor(std::shared_ptr<const CountExecutor> exec) {
   executor_ = std::move(exec);
 }
 
-size_t Dataset::shard_fanout() const {
-  MutexLock lock(executor_mu_);
-  return executor_ != nullptr ? executor_->NumShards() : 1;
-}
-
 Result<uint64_t> Dataset::BuildMarginSupport(size_t k1,
                                              const CancelToken* cancel) const {
   auto cell = margins_.CellFor(k1);

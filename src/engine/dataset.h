@@ -96,30 +96,24 @@ class Dataset {
   std::shared_ptr<const VerticalIndex> Index() const;
 
   /// The executor queries on this dataset count through: the attached
-  /// one (the coordinator's RemoteShardExecutor, the server's batcher),
-  /// else the one EnsureCountExecutor built, else nullptr (mechanisms
-  /// scan `db()` directly). The handle keeps the returned executor
-  /// alive.
+  /// one (the server's batcher), else the one EnsureCountExecutor built,
+  /// else nullptr (mechanisms scan `db()` directly). The handle keeps
+  /// the returned executor alive.
   std::shared_ptr<const CountExecutor> count_executor() const;
 
   /// Like count_executor(), but never nullptr: when none is set it
   /// builds (and memoizes) a DirectCountExecutor over db() + Index() —
   /// the exact functions the mechanisms call when no executor is
   /// attached, so routing counts through it never changes a release
-  /// bit. The batching layer wraps this so it can fuse scans regardless
-  /// of fan-out.
+  /// bit. The batching layer wraps this so it can fuse scans.
   std::shared_ptr<const CountExecutor> EnsureCountExecutor() const;
 
-  /// Installs an externally built executor (the server's coordinator
-  /// attaches a RemoteShardExecutor over its worker fleet at dataset
-  /// registration). Replaces any previously built/attached executor;
-  /// meant to be called before the dataset serves queries.
+  /// Installs an externally built executor (the server attaches a
+  /// BatchingCountExecutor at dataset registration when batching is on;
+  /// tests attach faulty ones). Replaces any previously built/attached
+  /// executor; nullptr detaches it, so queries scan `db()` directly.
+  /// Meant to be called before the dataset serves queries.
   void AttachCountExecutor(std::shared_ptr<const CountExecutor> exec);
-
-  /// Effective counting fan-out: the executor's shard count, or 1 when
-  /// there is none. The admission cost model divides predicted work by
-  /// this.
-  size_t shard_fanout() const;
 
   /// Memoized support of the ⌈η·k⌉-th most frequent itemset — the
   /// PrivBasis fk1 hint. Exactly the quantity the mechanism would mine

@@ -85,9 +85,9 @@ Result<std::string> DatasetRegistry::Insert(std::string id,
   if (!recovered && hook_ != nullptr) {
     PRIVBASIS_RETURN_NOT_OK(hook_(id, dataset));
   }
-  // The attach hook (shard fan-out) runs for recovered datasets too —
-  // a dataset reloaded from the state dir must count through the same
-  // worker fleet a freshly registered one would.
+  // The attach hook (the query batcher) runs for recovered datasets
+  // too — a dataset reloaded from the state dir must count through the
+  // same executor a freshly registered one would.
   if (attach_hook_ != nullptr) {
     PRIVBASIS_RETURN_NOT_OK(attach_hook_(id, dataset));
   }

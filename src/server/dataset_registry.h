@@ -72,8 +72,7 @@ class DatasetRegistry {
   /// operator preloads, and recovered ones alike (unlike the durability
   /// hook, which recovered datasets skip). Runs after the durability
   /// hook, still before the handle is findable; a failure fails the
-  /// registration. The coordinator uses this to ship shard slices to its
-  /// workers and attach a RemoteShardExecutor.
+  /// registration. The server uses this to attach its query batcher.
   void SetAttachHook(RegisterHook hook) { attach_hook_ = std::move(hook); }
 
   /// Adds a handle, returning its new "ds-N" id. Ids are never reused.

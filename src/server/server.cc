@@ -13,7 +13,6 @@
 #include "engine/accountant.h"
 #include "engine/engine.h"
 #include "server/wire.h"
-#include "shard/sharded_db.h"
 
 namespace privbasis::server {
 
@@ -86,28 +85,14 @@ Status QueryServer::Start() {
                    ? options_.max_batch
                    : static_cast<size_t>(std::max<int64_t>(
                          1, GetEnvInt("PRIVBASIS_MAX_BATCH", 8)));
-  if (BatchingEnabled()) batch_stats_ = std::make_shared<BatchStats>();
-  // Coordinator mode: stand up the worker fleet BEFORE anything can
-  // register (including recovery) — every dataset becoming findable must
-  // go through the attach hook, and a misconfigured fleet should fail
-  // startup, not the first registration.
-  if (!options_.shard_workers.empty()) {
-    for (const std::string& spec : options_.shard_workers) {
-      PRIVBASIS_ASSIGN_OR_RETURN(WorkerAddr addr, ParseWorkerAddr(spec));
-      shard_workers_.push_back(
-          std::make_shared<ShardWorkerClient>(std::move(addr)));
-    }
-    for (const auto& worker : shard_workers_) {
-      if (Status alive = worker->Ping(2000); !alive.ok()) {
-        return alive;
-      }
-    }
-  }
-  if (!shard_workers_.empty() || BatchingEnabled()) {
+  // The hook goes in before anything can register (recovery included),
+  // so every dataset becoming findable gets its batcher.
+  if (BatchingEnabled()) {
+    batch_stats_ = std::make_shared<BatchStats>();
     registry_.SetAttachHook(
         [this](const std::string& id,
                const std::shared_ptr<Dataset>& dataset) {
-          return AttachExecutors(id, dataset);
+          return AttachBatcher(id, dataset);
         });
   }
   // Recovery runs behind the already-listening socket: a restarting
@@ -371,14 +356,9 @@ HttpResponse QueryServer::Route(const HttpRequest& request) {
                        request.target));
 }
 
-Status QueryServer::AttachExecutors(const std::string& id,
-                                    const std::shared_ptr<Dataset>& dataset) {
-  if (!shard_workers_.empty()) {
-    PRIVBASIS_RETURN_NOT_OK(ShardToWorkers(id, dataset));
-  }
-  if (!BatchingEnabled()) return Status::OK();
-  // Wrap whatever the dataset counts through (the remote fleet or the
-  // direct scan) so same-dataset queries can share scans.
+Status QueryServer::AttachBatcher(const std::string& id,
+                                  const std::shared_ptr<Dataset>& dataset) {
+  // Wrap the direct scan so same-dataset queries can share scans.
   // Fused counts merge exactly before any noise draw, so attaching the
   // batcher never changes a release bit.
   auto batcher = std::make_shared<BatchingCountExecutor>(
@@ -389,21 +369,6 @@ Status QueryServer::AttachExecutors(const std::string& id,
   dataset->AttachCountExecutor(batcher);
   MutexLock lock(batchers_mu_);
   batchers_[id] = std::move(batcher);
-  return Status::OK();
-}
-
-Status QueryServer::ShardToWorkers(const std::string& id,
-                                   const std::shared_ptr<Dataset>& dataset) {
-  // Contiguous slices whose exact counts sum to the whole database's,
-  // so a coordinator-served release is bit-identical to a local one.
-  PRIVBASIS_ASSIGN_OR_RETURN(
-      ShardedDatabase slices,
-      ShardedDatabase::Create(dataset->db(), shard_workers_.size()));
-  for (size_t s = 0; s < shard_workers_.size(); ++s) {
-    PRIVBASIS_RETURN_NOT_OK(shard_workers_[s]->LoadShard(id, slices.shard(s)));
-  }
-  dataset->AttachCountExecutor(
-      std::make_shared<RemoteShardExecutor>(id, shard_workers_));
   return Status::OK();
 }
 
@@ -457,12 +422,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   // a shed here has reserved nothing, drawn no noise, and left the
   // ε ledger untouched. The refusal arrives in milliseconds instead of
   // the 408 the client would otherwise wait a whole deadline for.
-  // The predicted cost is divided by the dataset's counting fan-out:
-  // sharded scans finish ~fanout× sooner, and Observe() below feeds the
-  // same scaled units back, so ns_per_unit calibrates consistently.
-  const double work_units =
-      CostModel::WorkUnits(dataset->Stats(), *spec) /
-      static_cast<double>(std::max<size_t>(1, dataset->shard_fanout()));
+  const double work_units = CostModel::WorkUnits(dataset->Stats(), *spec);
   const AdmissionDecision decision =
       admission_.Decide(work_units, pool_->QueueDepth());
   if (!decision.admit) {
@@ -524,7 +484,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   // The full in-process path: central validation, budget reservation
   // (429 before any noise on overdraft), mechanism, ledger commit. The
   // deadline rides along as a cooperative cancel token: mid-scan expiry
-  // unwinds within one shard-chunk, frees this worker, and charges the
+  // unwinds within one scan chunk, frees this worker, and charges the
   // full reservation (fail-closed — noise may have been observed).
   const CancelToken token = CancelToken::AfterMs(deadline_ms);
   spec->cancel = &token;
@@ -623,12 +583,6 @@ HttpResponse QueryServer::HandleEvict(const std::string& id) {
   if (!registry_.Remove(id)) {
     return ErrorResponse(Status::NotFound("unknown dataset \"" + id + "\""));
   }
-  // Best-effort shard unload: a failure only leaves a worker holding a
-  // slice no query can reach any more (ids are never reused), so it must
-  // not turn a completed eviction into an error.
-  for (const auto& worker : shard_workers_) {
-    (void)worker->DropShard(id);
-  }
   {
     // In-flight queries on the evicted dataset keep their batcher alive
     // through their own shared_ptr brackets.
@@ -655,8 +609,6 @@ HttpResponse QueryServer::HandleStats() {
   stats.queue_depth = pool_ != nullptr ? pool_->QueueDepth() : 0;
   stats.ns_per_unit = admission_.model().ns_per_unit();
   stats.recent_query_ms = admission_.model().recent_query_ms();
-  stats.shard_workers = shard_workers_.size();
-  stats.shard_fanout = std::max<size_t>(1, shard_workers_.size());
   stats.batch_window_us = batch_window_us_;
   stats.batch_max = BatchingEnabled() ? max_batch_ : 0;
   if (batch_stats_ != nullptr) {

@@ -35,7 +35,7 @@
 //     deadline ("deadline_ms" envelope key, capped by
 //     request_deadline_ms) propagated as a cooperative cancel token
 //     into every mechanism scan: mid-scan expiry unwinds within one
-//     shard-chunk, answers 408, and charges the full reservation
+//     scan chunk, answers 408, and charges the full reservation
 //     (fail-closed, engine/accountant.h).
 //
 // Concurrency: ONE epoll event-loop thread (server/event_loop.h) owns
@@ -72,7 +72,6 @@
 #include "common/thread_pool.h"
 #include "core/batch_exec.h"
 #include "server/admission.h"
-#include "shard/remote.h"
 #include "server/dataset_registry.h"
 #include "server/event_loop.h"
 #include "server/http.h"
@@ -105,15 +104,6 @@ struct ServerOptions {
   /// the bounded accept queue. Defaults keep both off — the
   /// pre-existing unbounded behavior.
   AdmissionOptions admission;
-  /// Shard-worker addresses ("host:port" or bare "port"), one per
-  /// shard. Non-empty turns the server into a scatter-gather
-  /// coordinator: every registered dataset is partitioned into
-  /// |shard_workers| slices shipped to the privbasis_shardd processes,
-  /// and queries count through them (shard/remote.h). Start() fails if
-  /// any worker is unreachable. Results are bit-identical to serving
-  /// locally; a worker dying mid-query fails that query fail-closed
-  /// (full ε charge), never a partial count.
-  std::vector<std::string> shard_workers;
   /// Same-dataset query batching (core/batch_exec.h): how long a batch
   /// leader waits for co-riders, in microseconds. 0 disables batching;
   /// −1 (the default) reads the PRIVBASIS_BATCH_WINDOW_US env knob
@@ -197,23 +187,14 @@ class QueryServer {
   /// the routing table without a live connection if needed.
   HttpResponse Route(const HttpRequest& request);
 
-  /// Registry attach hook: shards to the worker fleet (coordinator
-  /// mode), then wraps the dataset's executor in a
-  /// BatchingCountExecutor when batching is on.
-  Status AttachExecutors(const std::string& id,
-                         const std::shared_ptr<Dataset>& dataset);
+  /// Registry attach hook (installed only when batching is on): wraps
+  /// the dataset's direct executor in a BatchingCountExecutor.
+  Status AttachBatcher(const std::string& id,
+                       const std::shared_ptr<Dataset>& dataset);
   /// True once Start() resolved the batching knobs to an active config.
   bool BatchingEnabled() const {
     return batch_window_us_ > 0 && max_batch_ > 1;
   }
-
-  /// Coordinator attach: partitions `dataset` into one slice per
-  /// worker, ships the slices (LoadShard), and attaches a
-  /// RemoteShardExecutor so its queries count through the fleet. A
-  /// failure fails the registration — a dataset must not serve locally
-  /// when the operator asked for process separation.
-  Status ShardToWorkers(const std::string& id,
-                        const std::shared_ptr<Dataset>& dataset);
 
   HttpResponse HandleQuery(const HttpRequest& request);
   HttpResponse HandleRegisterDataset(const HttpRequest& request);
@@ -225,8 +206,6 @@ class QueryServer {
   ServerOptions options_;
   AdmissionController admission_;
   DatasetRegistry registry_;
-  /// One persistent client per shard worker (empty = not a coordinator).
-  std::vector<std::shared_ptr<ShardWorkerClient>> shard_workers_;
   net::Fd listen_fd_;
   uint16_t port_ = 0;
   std::unique_ptr<ThreadPool> pool_;

@@ -393,10 +393,6 @@ json::Value StatsToJson(const StatsSnapshot& stats) {
   admission.Set("ns_per_unit", stats.ns_per_unit);
   admission.Set("recent_query_ms", stats.recent_query_ms);
   body.Set("admission", std::move(admission));
-  json::Value shards;
-  shards.Set("workers", stats.shard_workers);
-  shards.Set("fanout", stats.shard_fanout);
-  body.Set("shards", std::move(shards));
   json::Value batching;
   batching.Set("window_us", stats.batch_window_us);
   batching.Set("max", stats.batch_max);
@@ -412,7 +408,7 @@ Result<StatsSnapshot> StatsFromJson(const json::Value& value) {
   PRIVBASIS_ASSIGN_OR_RETURN(const json::Value::Object* obj,
                              value.GetObject());
   PRIVBASIS_RETURN_NOT_OK(CheckKeys(
-      *obj, {"queries", "connections", "admission", "shards", "batching"},
+      *obj, {"queries", "connections", "admission", "batching"},
       "stats"));
   if (const json::Value* queries = value.Find("queries")) {
     PRIVBASIS_ASSIGN_OR_RETURN(const json::Value::Object* q,
@@ -461,16 +457,6 @@ Result<StatsSnapshot> StatsFromJson(const json::Value& value) {
         ReadDouble(*admission, "ns_per_unit", &stats.ns_per_unit));
     PRIVBASIS_RETURN_NOT_OK(
         ReadDouble(*admission, "recent_query_ms", &stats.recent_query_ms));
-  }
-  if (const json::Value* shards = value.Find("shards")) {
-    PRIVBASIS_ASSIGN_OR_RETURN(const json::Value::Object* s,
-                               shards->GetObject());
-    PRIVBASIS_RETURN_NOT_OK(
-        CheckKeys(*s, {"workers", "fanout"}, "stats shard"));
-    PRIVBASIS_RETURN_NOT_OK(ReadUint(*shards, "workers",
-                                     &stats.shard_workers));
-    PRIVBASIS_RETURN_NOT_OK(ReadUint(*shards, "fanout",
-                                     &stats.shard_fanout));
   }
   if (const json::Value* batching = value.Find("batching")) {
     PRIVBASIS_ASSIGN_OR_RETURN(const json::Value::Object* b,

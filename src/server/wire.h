@@ -80,10 +80,6 @@ struct StatsSnapshot {
   uint64_t queue_depth = 0;
   double ns_per_unit = 0.0;
   double recent_query_ms = 0.0;
-  // Sharded execution topology: remote worker count (0 = none
-  // configured) and the default counting fan-out new datasets get.
-  uint64_t shard_workers = 0;
-  uint64_t shard_fanout = 1;
   // Same-dataset query batching (core/batch_exec.h): the configured
   // window/size (window_us = 0, max = 0 when off) and the monotone
   // fused-scan counters.

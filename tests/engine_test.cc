@@ -1,17 +1,22 @@
 // The Engine facade: central validation, budget metering across repeated
-// queries, cache transparency (warm == cold, bit for bit), and
-// concurrency determinism — including once-only cold builds under the
-// per-cache-entry locking.
+// queries, cache transparency (warm == cold, bit for bit), concurrency
+// determinism — including once-only cold builds under the
+// per-cache-entry locking — and the attached CountExecutor's fail-closed
+// contract (a failed or malformed count charges the full reservation).
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/failpoint.h"
-
+#include "core/basis_freq.h"
+#include "core/batch_exec.h"
+#include "core/privbasis.h"
 #include "data/synthetic.h"
 #include "test_util.h"
 
@@ -470,6 +475,143 @@ TEST(DatasetTest, TruthSharesTheHandleIndex) {
   ASSERT_TRUE(dataset->MarginSupport(10, 1.1).ok());
   ASSERT_TRUE(dataset->MarginSupport(10, 1.2).ok());
   EXPECT_EQ(dataset->cache_counters().margin_mines, 0u);
+}
+
+// A fresh dataset builds no executor and no VerticalIndex, and a query
+// on it scans db() directly.
+TEST(DatasetTest, FreshDatasetBuildsNoExecutorOrIndex) {
+  auto dataset = Dataset::Create(
+      MakeRandomDb({.seed = 29, .num_transactions = 120, .universe = 14}));
+  EXPECT_EQ(dataset->count_executor(), nullptr);
+
+  QuerySpec spec;
+  spec.k = 12;
+  spec.epsilon = 1.0;
+  spec.seed = 4242;
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release release,
+                                 Engine::Run(*dataset, spec));
+  EXPECT_FALSE(release.itemsets.empty());
+  EXPECT_EQ(dataset->count_executor(), nullptr);
+  EXPECT_EQ(dataset->cache_counters().index_builds, 0u);
+}
+
+// A fired token surfaces kCancelled from every op — never a partial or
+// garbage count (the fail-closed half of the executor contract) — on a
+// database large enough that the pair and bin scans split over the pool.
+TEST(CountExecutorTest, FiredTokenFailsClosed) {
+  auto db = std::make_shared<const TransactionDatabase>(
+      MakeRandomDb({.seed = 31, .num_transactions = 10000}));
+  const DirectCountExecutor exec(
+      db, std::make_shared<const VerticalIndex>(*db), /*num_threads=*/4);
+  CancelToken token;
+  token.Cancel();
+
+  BasisSet basis_set;
+  basis_set.Add(Itemset({0, 1}));
+  EXPECT_EQ(exec.BasisBinCounts(basis_set, &token).status().code(),
+            StatusCode::kCancelled);
+  EXPECT_EQ(exec.PairSupports({0, 1, 2}, &token).status().code(),
+            StatusCode::kCancelled);
+  const std::vector<Itemset> queries = {Itemset({0}), Itemset({1, 2})};
+  EXPECT_EQ(exec.SupportOfMany(queries, &token).status().code(),
+            StatusCode::kCancelled);
+}
+
+/// An attached executor that breaks one way: it fails the bin scan with
+/// kUnavailable (a backend that went away), or answers the pair or bin
+/// scan with a result of the wrong shape. Otherwise it runs the direct
+/// scans. A query calls only PairSupports and BasisBinCounts, so the
+/// other two ops refuse.
+class FaultyCountExecutor : public CountExecutor {
+ public:
+  enum class Fault { kUnavailableBins, kShortPairs, kShortBins, kShortBinRow };
+
+  FaultyCountExecutor(const TransactionDatabase& db, Fault fault)
+      : db_(db), fault_(fault) {}
+
+  size_t NumShards() const override { return 1; }
+
+  Result<std::vector<std::vector<uint64_t>>> BasisBinCounts(
+      const BasisSet& basis_set, const CancelToken* cancel) const override {
+    if (fault_ == Fault::kUnavailableBins) {
+      return Status::Unavailable("count backend went away");
+    }
+    PRIVBASIS_ASSIGN_OR_RETURN(auto bins,
+                               CountBasisBins(db_, basis_set, 0, cancel));
+    if (fault_ == Fault::kShortBins) bins.pop_back();
+    if (fault_ == Fault::kShortBinRow) bins.front().pop_back();
+    return bins;
+  }
+
+  Result<std::vector<uint64_t>> PairSupports(
+      const std::vector<Item>& items,
+      const CancelToken* cancel) const override {
+    PRIVBASIS_ASSIGN_OR_RETURN(auto pairs,
+                               CountPairSupports(db_, items, 0, cancel));
+    if (fault_ == Fault::kShortPairs) pairs.pop_back();
+    return pairs;
+  }
+
+  Result<std::vector<uint64_t>> SupportOfMany(
+      std::span<const Itemset>, const CancelToken*) const override {
+    return Status::Internal("SupportOfMany is not a query op");
+  }
+
+  Result<std::vector<uint64_t>> ItemSupports(
+      const CancelToken*) const override {
+    return Status::Internal("ItemSupports is not a query op");
+  }
+
+ private:
+  const TransactionDatabase& db_;
+  Fault fault_;
+};
+
+/// k = 20 over 12 items keeps η·k above λ, and a zero fast-path cap
+/// sends every λ to basis construction, so the pair step always runs.
+QuerySpec PairStepSpec() {
+  QuerySpec spec = QuerySpec().WithTopK(20).WithEpsilon(1.0).WithSeed(5);
+  spec.pb.single_basis_lambda_cap = 0;
+  return spec;
+}
+
+TEST(CountExecutorTest, UnavailableExecutorFailsClosedWithFullCharge) {
+  auto dataset = SmallDataset(5.0);
+  const QuerySpec spec = PairStepSpec();
+  dataset->AttachCountExecutor(std::make_shared<FaultyCountExecutor>(
+      dataset->db(), FaultyCountExecutor::Fault::kUnavailableBins));
+  auto release = Engine::Run(*dataset, spec);
+  ASSERT_FALSE(release.ok());
+  EXPECT_EQ(release.status().code(), StatusCode::kUnavailable)
+      << release.status();
+  // Fail closed: the aborted lease charges the full reservation. A
+  // broken executor can lose a query, never ε.
+  EXPECT_EQ(dataset->accountant()->spent_epsilon(), spec.epsilon);
+  EXPECT_EQ(dataset->accountant()->reserved_epsilon(), 0.0);
+
+  // Detached, the dataset scans db() directly and serves again.
+  dataset->AttachCountExecutor(nullptr);
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release ok, Engine::Run(*dataset, spec));
+  EXPECT_FALSE(ok.itemsets.empty());
+  EXPECT_DOUBLE_EQ(dataset->accountant()->spent_epsilon(),
+                   spec.epsilon + ok.epsilon_spent);
+}
+
+TEST(CountExecutorTest, WrongSizedCountsFailInternalWithFullCharge) {
+  using Fault = FaultyCountExecutor::Fault;
+  for (const Fault fault :
+       {Fault::kShortPairs, Fault::kShortBins, Fault::kShortBinRow}) {
+    auto dataset = SmallDataset(5.0);
+    const QuerySpec spec = PairStepSpec();
+    dataset->AttachCountExecutor(
+        std::make_shared<FaultyCountExecutor>(dataset->db(), fault));
+    auto release = Engine::Run(*dataset, spec);
+    ASSERT_FALSE(release.ok()) << static_cast<int>(fault);
+    EXPECT_EQ(release.status().code(), StatusCode::kInternal)
+        << release.status();
+    EXPECT_EQ(dataset->accountant()->spent_epsilon(), spec.epsilon);
+    EXPECT_EQ(dataset->accountant()->reserved_epsilon(), 0.0);
+  }
 }
 
 }  // namespace

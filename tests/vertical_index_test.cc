@@ -106,6 +106,21 @@ TEST(VerticalIndexTest, SupportOfManyMatchesSingleQueries) {
   }
 }
 
+// The batch path honors the cancel token on its own, independent of any
+// executor wrapped around it.
+TEST(VerticalIndexTest, VerticalIndexBatchHonorsCancelToken) {
+  const TransactionDatabase db = MakeRandomDb({.seed = 37});
+  const VerticalIndex index(db);
+  const std::vector<Itemset> queries(200, Itemset({0, 1}));
+  CancelToken token;
+  token.Cancel();
+  // Fired before the call: the partial-fill contract says the caller
+  // checks the token and discards; the vector overload still returns a
+  // (discardable) buffer, but no crash and no hang.
+  (void)index.SupportOfMany(queries, /*num_threads=*/2, &token);
+  EXPECT_TRUE(token.Cancelled());
+}
+
 TEST(VerticalIndexTest, MetadataExposed) {
   TransactionDatabase db = MakeDb({{0, 1}, {1}}, /*universe=*/5);
   VerticalIndex index(db);

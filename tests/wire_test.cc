@@ -292,8 +292,6 @@ TEST(WireStatsTest, GoldenRoundTrip) {
   stats.queue_depth = 5;
   stats.ns_per_unit = 57.25;
   stats.recent_query_ms = 3.5;
-  stats.shard_workers = 2;
-  stats.shard_fanout = 2;
   stats.batch_window_us = 200;
   stats.batch_max = 8;
   stats.batches = 6;
@@ -307,7 +305,6 @@ TEST(WireStatsTest, GoldenRoundTrip) {
       "\"admission\":{\"slo_ms\":250,\"max_queue_depth\":16,"
       "\"queue_depth\":5,\"ns_per_unit\":57.25,"
       "\"recent_query_ms\":3.5},"
-      "\"shards\":{\"workers\":2,\"fanout\":2},"
       "\"batching\":{\"window_us\":200,\"max\":8,\"batches\":6,"
       "\"batched_queries\":15,\"scans_saved\":9}}";
   EXPECT_EQ(StatsToJson(stats).Dump(), golden);
@@ -328,8 +325,6 @@ TEST(WireStatsTest, GoldenRoundTrip) {
   EXPECT_EQ(back->queue_depth, 5u);
   EXPECT_EQ(back->ns_per_unit, 57.25);
   EXPECT_EQ(back->recent_query_ms, 3.5);
-  EXPECT_EQ(back->shard_workers, 2u);
-  EXPECT_EQ(back->shard_fanout, 2u);
   EXPECT_EQ(back->batch_window_us, 200);
   EXPECT_EQ(back->batch_max, 8u);
   EXPECT_EQ(back->batches, 6u);
@@ -344,8 +339,9 @@ TEST(WireStatsTest, RejectsUnknownKeys) {
            "{\"extra\":1}",
            "{\"queries\":{\"admited\":1}}",    // typo
            "{\"admission\":{\"slo\":250}}",    // wrong key
-           "{\"shards\":{\"workers\":1,\"fanout\":1,\"extra\":2}}",
-           "{\"shards\":[1,2]}",               // wrong type
+           "{\"shards\":{\"workers\":0,\"fanout\":1}}",  // removed block
+           "{\"batching\":{\"max\":8,\"extra\":2}}",
+           "{\"batching\":[1,2]}",             // wrong type
            "{\"batching\":{\"windowus\":1}}",  // typo
            "{\"batching\":{\"window_us\":1,\"max\":8,\"batches\":0,"
            "\"batched_queries\":0,\"scans_saved\":0,\"extra\":1}}",

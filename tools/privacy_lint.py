@@ -11,12 +11,12 @@ dependency) so CI fails when a refactor quietly violates one:
                       mechanisms) may only appear in the layers that are
                       ALLOWED to randomize: src/common (definitions),
                       src/dp, src/engine, src/core, src/baseline. The
-                      serving, storage, sharding, and counting layers
-                      (src/server, src/store, src/shard, src/data, src/fim)
-                      are privacy-blind by design — a shard worker that
-                      could draw noise could also double-draw it, and a
-                      storage layer that touches an Rng could persist
-                      something derived from unreleased randomness.
+                      serving, storage, and counting layers (src/server,
+                      src/store, src/data, src/fim) are privacy-blind by
+                      design — a server that could draw noise could also
+                      double-draw it, and a storage layer that touches an
+                      Rng could persist something derived from unreleased
+                      randomness.
 
   lease-resolution    Every function that Acquire()s a BudgetLease must
                       visibly resolve it: Commit()/CommitAll() it, move it
@@ -25,13 +25,6 @@ dependency) so CI fails when a refactor quietly violates one:
                       the full reservation), but code that RELIES on that
                       is almost always a missing-commit bug — the query
                       pays worst case instead of actual spend.
-
-  wire-after-noise    A function that draws noise must not also touch the
-                      shard wire (shardwire::). Exact integer counts merge
-                      across shards BEFORE any noise draw; a noised value
-                      serialized back over the wire would let one query
-                      consume two independent draws (breaking the ε
-                      accounting) or leak a worker-local noised count.
 
   data-blind-basis    Basis construction (src/core/construct_basis.*,
                       error_variance.*, basis.*, and the clique code in
@@ -74,9 +67,7 @@ NOISE_TOKENS = re.compile(
 NOISE_ALLOWED_DIRS = (
     "src/common/", "src/dp/", "src/engine/", "src/core/", "src/baseline/")
 PRIVACY_BLIND_DIRS = (
-    "src/server/", "src/store/", "src/shard/", "src/data/", "src/fim/")
-
-WIRE_TOKEN = re.compile(r"\bshardwire::")
+    "src/server/", "src/store/", "src/data/", "src/fim/")
 
 DATA_TOKENS = re.compile(
     r"\b(TransactionDatabase|Dataset|CountExecutor|VerticalIndex)\b")
@@ -207,24 +198,6 @@ def check_lease_resolution(path, code, raw):
     return findings
 
 
-def check_wire_after_noise(path, code, raw):
-    del raw
-    findings = []
-    if not path.startswith("src/"):
-        return findings
-    for match in NOISE_TOKENS.finditer(code):
-        start, end = enclosing_scope(code, match.start())
-        scope = code[start:end]
-        wire = WIRE_TOKEN.search(scope)
-        if wire:
-            findings.append(Finding(
-                "wire-after-noise", path, line_of(code, match.start()),
-                f"`{match.group(1)}` and shardwire:: in one scope: noised "
-                "values must never cross the shard wire (exact counts "
-                "merge before any draw)"))
-    return findings
-
-
 def check_data_blind_basis(path, code, raw):
     del raw
     findings = []
@@ -298,7 +271,7 @@ def check_failpoint_manifest(root, rel_paths):
 
 
 FILE_RULES = (check_noise_containment, check_lease_resolution,
-              check_wire_after_noise, check_data_blind_basis)
+              check_data_blind_basis)
 
 
 def lint_tree(root, verbose=False):
@@ -356,7 +329,7 @@ def lint_tree(root, verbose=False):
 
 SELF_TEST_CASES = {
     "noise-containment": (
-        "src/shard/evil.cc",
+        "src/server/evil.cc",
         "namespace privbasis {\n"
         "void Leak() { Rng rng(7); (void)SampleLaplace(rng, 1.0); }\n"
         "}\n"),
@@ -366,14 +339,6 @@ SELF_TEST_CASES = {
         "Status Spend(Accountant& a) {\n"
         "  PRIVBASIS_ASSIGN_OR_RETURN(BudgetLease lease, a.Acquire(1.0, \"x\"));\n"
         "  return Status::OK();\n"
-        "}\n"
-        "}\n"),
-    "wire-after-noise": (
-        "src/core/evil.cc",
-        "namespace privbasis {\n"
-        "void Ship(Rng& rng) {\n"
-        "  double noised = SampleLaplace(rng, 1.0);\n"
-        "  shardwire::WriteFrame(noised);\n"
         "}\n"
         "}\n"),
     "data-blind-basis": (

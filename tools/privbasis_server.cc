@@ -18,15 +18,20 @@
 //
 // Prints one "listening ..." line (and one "preloaded ..."/"recovered
 // ..." line per dataset) to stdout, then serves until SIGINT/SIGTERM.
-// Exit codes: 0 clean shutdown, 1 startup failure, 2 bad usage.
+// Exit codes: 0 clean shutdown, 1 startup failure, 2 bad usage (an
+// unknown flag, or a value its flag does not accept: numbers must parse
+// whole and fit their field).
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <ctime>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "data/synthetic.h"
 #include "server/server.h"
@@ -51,7 +56,6 @@ void PrintUsage(const char* argv0) {
       "          [--deadline-ms MS] [--max-body BYTES]\n"
       "          [--slo-ms MS] [--max-queue N]\n"
       "          [--batch-window-us US] [--max-batch N]\n"
-      "          [--shard-workers H1:P1,H2:P2,...]\n"
       "          [--allow-path-datasets on|off]\n"
       "          [--state-dir DIR] [--fsync always|commit|never]\n"
       "          [--preload PROFILE | --preload-input FILE]\n"
@@ -79,13 +83,6 @@ void PrintUsage(const char* argv0) {
       "                     PRIVBASIS_BATCH_WINDOW_US env, else 0 = off)\n"
       "  --max-batch N      queries per fused scan (default: the\n"
       "                     PRIVBASIS_MAX_BATCH env, else 8)\n"
-      "  --shard-workers L  comma-separated privbasis_shardd addresses\n"
-      "                     (host:port or bare port). Turns this server\n"
-      "                     into a scatter-gather coordinator: datasets\n"
-      "                     are partitioned across the workers and every\n"
-      "                     query counts through them. Results are\n"
-      "                     bit-identical to serving locally; a dead\n"
-      "                     worker fails queries closed (full ε charge)\n"
       "  --allow-path-datasets on|off\n"
       "                     accept {\"path\": ...} registrations over\n"
       "                     HTTP (default off; preloads are unaffected)\n"
@@ -106,8 +103,48 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
+/// Parses all of `value` as an unsigned decimal in [lo, hi] into
+/// `*out`. No sign, space or trailing byte is accepted, so "-1" cannot
+/// wrap and "abc" cannot read as 0. Says why on failure.
+template <typename T>
+bool ParseUint(const std::string& flag, std::string_view value, T* out,
+               uint64_t lo = 0,
+               uint64_t hi = static_cast<uint64_t>(
+                   std::numeric_limits<T>::max())) {
+  uint64_t parsed = 0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  if (ec != std::errc() || end != last || parsed < lo || parsed > hi) {
+    std::fprintf(stderr,
+                 "%s needs a whole number in [%llu, %llu], got \"%.*s\"\n",
+                 flag.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi),
+                 static_cast<int>(value.size()), value.data());
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
+/// Parses all of `value` as a finite number greater than 0 into `*out`.
+bool ParsePositive(const std::string& flag, std::string_view value,
+                   double* out) {
+  double parsed = 0.0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  if (ec != std::errc() || end != last || !std::isfinite(parsed) ||
+      parsed <= 0.0) {
+    std::fprintf(stderr, "%s needs a finite number > 0, got \"%.*s\"\n",
+                 flag.c_str(), static_cast<int>(value.size()), value.data());
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 std::optional<ServerCliOptions> ParseArgs(int argc, char** argv) {
   ServerCliOptions options;
+  ServerOptions& server = options.server;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") return std::nullopt;
@@ -115,82 +152,58 @@ std::optional<ServerCliOptions> ParseArgs(int argc, char** argv) {
       std::fprintf(stderr, "missing value for %s\n", flag.c_str());
       return std::nullopt;
     }
-    const char* value = argv[++i];
+    const std::string value = argv[++i];
+    bool ok = true;
     if (flag == "--host") {
-      options.server.host = value;
+      server.host = value;
     } else if (flag == "--port") {
-      options.server.port = static_cast<uint16_t>(std::atoi(value));
+      ok = ParseUint(flag, value, &server.port);
     } else if (flag == "--threads") {
-      options.server.num_threads =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      ok = ParseUint(flag, value, &server.num_threads);
     } else if (flag == "--deadline-ms") {
-      options.server.request_deadline_ms = std::atoll(value);
+      ok = ParseUint(flag, value, &server.request_deadline_ms, 1);
     } else if (flag == "--max-body") {
-      options.server.max_body_bytes =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      ok = ParseUint(flag, value, &server.max_body_bytes);
     } else if (flag == "--slo-ms") {
-      options.server.admission.slo_ms = std::atoll(value);
+      ok = ParseUint(flag, value, &server.admission.slo_ms);
     } else if (flag == "--max-queue") {
-      options.server.admission.max_queue_depth =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      ok = ParseUint(flag, value, &server.admission.max_queue_depth);
     } else if (flag == "--batch-window-us") {
-      options.server.batch_window_us = std::atoll(value);
+      ok = ParseUint(flag, value, &server.batch_window_us);
     } else if (flag == "--max-batch") {
-      options.server.max_batch =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
-      if (options.server.max_batch == 0) {
-        std::fprintf(stderr, "--max-batch must be >= 1\n");
-        return std::nullopt;
-      }
-    } else if (flag == "--shard-workers") {
-      std::string list = value;
-      size_t start = 0;
-      while (start <= list.size()) {
-        const size_t comma = list.find(',', start);
-        const std::string spec =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!spec.empty()) options.server.shard_workers.push_back(spec);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      if (options.server.shard_workers.empty()) {
-        std::fprintf(stderr, "--shard-workers needs at least one address\n");
-        return std::nullopt;
-      }
+      ok = ParseUint(flag, value, &server.max_batch, 1);
     } else if (flag == "--allow-path-datasets") {
       // Value-taking like every other flag: "on"/"off".
-      options.server.registry_limits.allow_paths =
-          std::string(value) == "on";
+      ok = value == "on" || value == "off";
+      if (!ok) std::fprintf(stderr, "--allow-path-datasets takes on|off\n");
+      server.registry_limits.allow_paths = value == "on";
     } else if (flag == "--state-dir") {
-      options.server.state_dir = value;
+      server.state_dir = value;
     } else if (flag == "--fsync") {
       auto mode = store::ParseFsyncMode(value);
-      if (!mode.ok()) {
+      ok = mode.ok();
+      if (ok) {
+        server.fsync_mode = *mode;
+      } else {
         std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-        return std::nullopt;
       }
-      options.server.fsync_mode = *mode;
     } else if (flag == "--preload") {
       options.preload_profile = value;
     } else if (flag == "--preload-input") {
       options.preload_input = value;
     } else if (flag == "--preload-scale") {
-      options.preload_scale = std::strtod(value, nullptr);
+      ok = ParsePositive(flag, value, &options.preload_scale);
     } else if (flag == "--preload-seed") {
-      options.preload_seed = std::strtoull(value, nullptr, 10);
+      ok = ParseUint(flag, value, &options.preload_seed);
     } else if (flag == "--preload-budget") {
-      options.preload_budget = std::strtod(value, nullptr);
-      if (!(options.preload_budget > 0.0)) {
-        std::fprintf(stderr, "--preload-budget must be > 0\n");
-        return std::nullopt;
-      }
+      ok = ParsePositive(flag, value, &options.preload_budget);
     } else if (flag == "--preload-config") {
       options.preload_config = value;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return std::nullopt;
+      ok = false;
     }
+    if (!ok) return std::nullopt;
   }
   return options;
 }
