@@ -19,50 +19,58 @@ uint32_t GetLambda(const TransactionDatabase& db, uint64_t fk1_support,
                    double epsilon, Rng& rng) {
   // Quality of rank j (1-based): (1 − |f_itemj − θ|)·N = N − |c_j − θ·N|
   // in count units. Ranks sharing an item count share a quality, so we
-  // offer one Gumbel per run of equal counts.
-  std::vector<uint64_t> counts = db.ItemSupports();
-  std::sort(counts.begin(), counts.end(), std::greater<>());
+  // offer one Gumbel per support group of the database's item order.
+  const SupportGroups& groups = db.ItemSupportGroups();
+  if (groups.NumGroups() == 0) return 1;  // empty universe: nothing to rank
   const double n = static_cast<double>(db.NumTransactions());
   const double theta_count = static_cast<double>(fk1_support);
   const double factor = epsilon / 2.0;  // GS_q = 1, standard EM exponent
 
   GumbelMaxSampler sampler(&rng);
-  size_t run_start = 0;
-  while (run_start < counts.size()) {
-    size_t run_end = run_start;
-    while (run_end < counts.size() && counts[run_end] == counts[run_start]) {
-      ++run_end;
-    }
-    double quality =
-        n - std::abs(static_cast<double>(counts[run_start]) - theta_count);
-    sampler.OfferGroup(run_start, factor * quality,
-                       static_cast<double>(run_end - run_start));
-    run_start = run_end;
+  for (size_t g = 0; g < groups.NumGroups(); ++g) {
+    const double quality =
+        n - std::abs(static_cast<double>(groups.Value(g)) - theta_count);
+    sampler.OfferGroup(g, factor * quality,
+                       static_cast<double>(groups.Size(g)));
   }
-  size_t winner_run = sampler.WinnerKey();
-  size_t run_end = winner_run;
-  while (run_end < counts.size() && counts[run_end] == counts[winner_run]) {
-    ++run_end;
-  }
-  size_t rank = winner_run + rng.UniformInt(run_end - winner_run);
+  const size_t winner = sampler.WinnerKey();
+  const size_t rank =
+      groups.Begin(winner) + rng.UniformInt(groups.Size(winner));
   return static_cast<uint32_t>(rank + 1);  // 1-based rank = λ
 }
 
-Result<std::vector<size_t>> GetFreqElements(
-    std::span<const uint64_t> candidate_supports, size_t count,
-    double epsilon, bool monotonic, Rng& rng) {
-  if (count > candidate_supports.size()) {
+namespace {
+
+Result<std::vector<size_t>> SelectFromPool(GroupedEmPool& pool, size_t count,
+                                           double epsilon, bool monotonic,
+                                           Rng& rng) {
+  if (count > pool.NumRemaining()) {
     return Status::InvalidArgument(
         "GetFreqElements: requested " + std::to_string(count) + " of " +
-        std::to_string(candidate_supports.size()) + " candidates");
+        std::to_string(pool.NumRemaining()) + " candidates");
   }
   if (count == 0) return std::vector<size_t>{};
   // Per-round budget ε/count; quality = support (GS 1, monotone: adding a
   // transaction can only raise supports).
   const double per_round = epsilon / static_cast<double>(count);
   const double factor = per_round / (monotonic ? 1.0 : 2.0);
-  GroupedEmPool pool(candidate_supports);
   return pool.SelectK(rng, count, factor);
+}
+
+}  // namespace
+
+Result<std::vector<size_t>> GetFreqElements(
+    std::span<const uint64_t> candidate_supports, size_t count,
+    double epsilon, bool monotonic, Rng& rng) {
+  GroupedEmPool pool(candidate_supports);
+  return SelectFromPool(pool, count, epsilon, monotonic, rng);
+}
+
+Result<std::vector<size_t>> GetFreqElements(const SupportGroups& candidates,
+                                            size_t count, double epsilon,
+                                            bool monotonic, Rng& rng) {
+  GroupedEmPool pool(candidates);
+  return SelectFromPool(pool, count, epsilon, monotonic, rng);
 }
 
 Result<std::vector<uint64_t>> CountPairSupports(
@@ -195,8 +203,8 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
         accountant.Consume(options.alpha2 * epsilon, "GetFreqItems"));
     PRIVBASIS_ASSIGN_OR_RETURN(
         std::vector<size_t> picks,
-        GetFreqElements(db.ItemSupports(), lambda, options.alpha2 * epsilon,
-                        options.monotonic_em, rng));
+        GetFreqElements(db.ItemSupportGroups(), lambda,
+                        options.alpha2 * epsilon, options.monotonic_em, rng));
     std::vector<Item> f;
     f.reserve(picks.size());
     for (size_t idx : picks) f.push_back(static_cast<Item>(idx));
@@ -225,7 +233,7 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
         accountant.Consume(beta1 * epsilon, "GetFreqItems"));
     PRIVBASIS_ASSIGN_OR_RETURN(
         std::vector<size_t> item_picks,
-        GetFreqElements(db.ItemSupports(), lambda, beta1 * epsilon,
+        GetFreqElements(db.ItemSupportGroups(), lambda, beta1 * epsilon,
                         options.monotonic_em, rng));
     std::vector<Item> f;
     f.reserve(item_picks.size());

@@ -14,10 +14,12 @@
 #define PRIVBASIS_CORE_PRIVBASIS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/support_groups.h"
 #include "core/basis.h"
 #include "core/basis_freq.h"
 #include "data/transaction_db.h"
@@ -112,16 +114,28 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
 /// Step 1: samples λ, the number of unique items in the top k itemsets,
 /// with the exponential mechanism over item ranks: quality of rank j is
 /// (1 − |f_itemj − f_k1|)·N (sensitivity 1). `fk1_support` is the exact
-/// support of the ⌈η·k⌉-th itemset.
+/// support of the ⌈η·k⌉-th itemset. Ranks come from the database's item
+/// support groups: one Gumbel per distinct support, then a uniform rank
+/// within the winning group, so a call costs O(distinct supports).
 uint32_t GetLambda(const TransactionDatabase& db, uint64_t fk1_support,
                    double epsilon, Rng& rng);
 
 /// Steps 2/3 worker: selects `count` of the candidates by repeated
 /// exponential mechanism without replacement, quality = absolute support,
 /// per-round budget epsilon/count. Returns selected candidate indices.
+/// This form groups the supports first (one radix pass, O(n)); step 3
+/// uses it over the pair supports of F.
 Result<std::vector<size_t>> GetFreqElements(
     std::span<const uint64_t> candidate_supports, size_t count,
     double epsilon, bool monotonic, Rng& rng);
+
+/// The same selection over groups the caller keeps, such as
+/// db.ItemSupportGroups() for step 2: the pool borrows them instead of
+/// grouping the supports again. Given the groups of the same supports,
+/// both forms return the same picks and draw the same random words.
+Result<std::vector<size_t>> GetFreqElements(const SupportGroups& candidates,
+                                            size_t count, double epsilon,
+                                            bool monotonic, Rng& rng);
 
 /// Exact pair-support counting restricted to `items`: one data scan,
 /// returns the dense upper-triangular counts, pair (i, j) with i < j at

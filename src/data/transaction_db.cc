@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace privbasis {
 
@@ -41,6 +40,7 @@ TransactionDatabase::TransactionDatabase(uint32_t universe_size,
       offsets_(std::move(offsets)) {
   item_supports_.assign(universe_size_, 0);
   for (Item it : items_) ++item_supports_[it];
+  item_groups_ = SupportGroups(item_supports_);
 }
 
 uint64_t TransactionDatabase::SupportOf(const Itemset& itemset) const {
@@ -53,15 +53,8 @@ uint64_t TransactionDatabase::SupportOf(const Itemset& itemset) const {
 }
 
 std::vector<Item> TransactionDatabase::ItemsByFrequency() const {
-  std::vector<Item> order(universe_size_);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](Item a, Item b) {
-    if (item_supports_[a] != item_supports_[b]) {
-      return item_supports_[a] > item_supports_[b];
-    }
-    return a < b;
-  });
-  return order;
+  const std::span<const uint32_t> order = item_groups_.Order();
+  return std::vector<Item>(order.begin(), order.end());
 }
 
 TransactionDatabase TransactionDatabase::ProjectOnto(

@@ -4,6 +4,11 @@
 // `offsets_` array (offsets_[i]..offsets_[i+1] delimit transaction i), the
 // classic columnar/CSR layout: a full scan — the hot loop of both miners
 // and BasisFreq — touches memory strictly sequentially.
+//
+// Construction also counts every item's support and groups the items by
+// it once (ItemSupportGroups, 4 bytes per item). GetLambda, item
+// selection, the top-k miner's floor and the FP-tree's ranking all read
+// that order, so none of them sorts |I| supports per call.
 #ifndef PRIVBASIS_DATA_TRANSACTION_DB_H_
 #define PRIVBASIS_DATA_TRANSACTION_DB_H_
 
@@ -12,6 +17,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/support_groups.h"
 #include "data/itemset.h"
 
 namespace privbasis {
@@ -66,6 +72,10 @@ class TransactionDatabase {
   /// Per-item absolute supports (counts), indexed by item id.
   const std::vector<uint64_t>& ItemSupports() const { return item_supports_; }
 
+  /// The items grouped by support, built once at construction: distinct
+  /// supports descending, each group's item ids ascending.
+  const SupportGroups& ItemSupportGroups() const { return item_groups_; }
+
   /// Frequency of a single item: support / N.
   double ItemFrequency(Item item) const {
     return static_cast<double>(item_supports_[item]) /
@@ -82,7 +92,8 @@ class TransactionDatabase {
            static_cast<double>(NumTransactions());
   }
 
-  /// Item ids sorted by descending support (ties by ascending id).
+  /// Item ids sorted by descending support (ties by ascending id): a copy
+  /// of ItemSupportGroups().Order().
   std::vector<Item> ItemsByFrequency() const;
 
   /// New database containing only items in `keep` (a projection in the
@@ -98,6 +109,7 @@ class TransactionDatabase {
   std::vector<Item> items_;
   std::vector<uint64_t> offsets_;
   std::vector<uint64_t> item_supports_;
+  SupportGroups item_groups_;
 };
 
 }  // namespace privbasis

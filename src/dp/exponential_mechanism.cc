@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/logspace.h"
 
@@ -61,36 +60,40 @@ Result<std::vector<size_t>> ExponentialMechanismSelectK(
   return out;
 }
 
-GroupedEmPool::GroupedEmPool(std::span<const uint64_t> qualities) {
-  remaining_ = qualities.size();
-  std::vector<size_t> order(qualities.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (qualities[a] != qualities[b]) return qualities[a] > qualities[b];
-    return a < b;
-  });
-  for (size_t idx : order) {
-    if (groups_.empty() || groups_.back().quality != qualities[idx]) {
-      groups_.push_back(Group{qualities[idx], {}});
-    }
-    groups_.back().members.push_back(idx);
+GroupedEmPool::GroupedEmPool(const SupportGroups& groups)
+    : groups_(&groups),
+      taken_(groups.NumGroups(), 0),
+      remaining_(groups.NumMembers()) {}
+
+GroupedEmPool::GroupedEmPool(std::span<const uint64_t> qualities)
+    : owned_(qualities),
+      groups_(&owned_),
+      taken_(owned_.NumGroups(), 0),
+      remaining_(owned_.NumMembers()) {}
+
+void GroupedEmPool::OfferAll(GumbelMaxSampler* sampler, double factor) const {
+  for (size_t g = 0; g < groups_->NumGroups(); ++g) {
+    const size_t live = groups_->Size(g) - taken_[g];
+    if (live == 0) continue;
+    sampler->OfferGroup(g, factor * static_cast<double>(groups_->Value(g)),
+                        static_cast<double>(live));
   }
 }
 
-void GroupedEmPool::OfferAll(GumbelMaxSampler* sampler, double factor) const {
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    if (groups_[g].members.empty()) continue;
-    sampler->OfferGroup(g, factor * static_cast<double>(groups_[g].quality),
-                        static_cast<double>(groups_[g].members.size()));
-  }
+uint32_t GroupedEmPool::MemberAt(size_t position) const {
+  auto it = moved_.find(position);
+  return it != moved_.end() ? it->second : groups_->Order()[position];
 }
 
 size_t GroupedEmPool::TakeFrom(size_t group, Rng& rng) {
-  auto& members = groups_[group].members;
-  size_t pick = rng.UniformInt(members.size());
-  size_t idx = members[pick];
-  members[pick] = members.back();
-  members.pop_back();
+  const size_t live = groups_->Size(group) - taken_[group];
+  const size_t pick = groups_->Begin(group) + rng.UniformInt(live);
+  const size_t back = groups_->Begin(group) + live - 1;
+  const uint32_t idx = MemberAt(pick);
+  const uint32_t back_member = MemberAt(back);
+  moved_.erase(back);
+  if (pick != back) moved_[pick] = back_member;
+  ++taken_[group];
   --remaining_;
   return idx;
 }

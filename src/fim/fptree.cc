@@ -36,17 +36,17 @@ BuildScratch& TlsScratch() {
 FpTree::FpTree(const TransactionDatabase& db, uint64_t min_support,
                size_t num_threads) {
   // Rank items with support >= min_support by descending support
-  // (ties: ascending id) so prefixes are maximally shared.
-  const auto& supports = db.ItemSupports();
-  std::vector<Item> freq;
-  for (Item it = 0; it < db.UniverseSize(); ++it) {
-    if (supports[it] >= min_support) freq.push_back(it);
+  // (ties: ascending id) so prefixes are maximally shared: a prefix of
+  // the database's item order.
+  const SupportGroups& groups = db.ItemSupportGroups();
+  size_t num_frequent = 0;
+  for (size_t g = 0; g < groups.NumGroups(); ++g) {
+    if (groups.Value(g) < min_support) break;
+    num_frequent = groups.Begin(g) + groups.Size(g);
   }
-  std::sort(freq.begin(), freq.end(), [&](Item a, Item b) {
-    if (supports[a] != supports[b]) return supports[a] > supports[b];
-    return a < b;
-  });
-  rank_items_ = std::move(freq);
+  const std::span<const uint32_t> frequent =
+      groups.Order().first(num_frequent);
+  rank_items_.assign(frequent.begin(), frequent.end());
   std::vector<uint32_t> item_to_rank(db.UniverseSize(), kNil);
   for (uint32_t r = 0; r < rank_items_.size(); ++r) {
     item_to_rank[rank_items_[r]] = r;

@@ -127,13 +127,16 @@ Result<TopKResult> MineTopK(const TransactionDatabase& db, size_t k,
 
   // Static floor: the k most frequent items are themselves k itemsets, so
   // the k-th best support is >= the k-th item support. This keeps the
-  // initial FP-tree small on sparse data with huge universes.
-  std::vector<uint64_t> supports = db.ItemSupports();
-  std::sort(supports.begin(), supports.end(), std::greater<>());
+  // initial FP-tree small on sparse data with huge universes. The
+  // database's support groups give that support without a sort.
+  const SupportGroups& groups = db.ItemSupportGroups();
   uint64_t floor_support = 1;
-  size_t active = 0;
-  while (active < supports.size() && supports[active] > 0) ++active;
-  if (active >= k) floor_support = std::max<uint64_t>(1, supports[k - 1]);
+  for (size_t g = 0; g < groups.NumGroups(); ++g) {
+    if (groups.Begin(g) + groups.Size(g) >= k) {
+      floor_support = std::max<uint64_t>(1, groups.Value(g));
+      break;
+    }
+  }
 
   BestK best(k);
   Mutex best_mu;

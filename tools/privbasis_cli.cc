@@ -7,7 +7,8 @@
 // count, noisy frequency).
 //
 // Exit codes: 0 success, 1 runtime error (I/O, budget exhausted), 2 bad
-// usage (flag parsing or QuerySpec validation).
+// usage (an unknown flag, a number that does not parse whole, or a
+// QuerySpec that fails validation).
 //
 // Examples:
 //   privbasis_cli --input basket.dat --k 100 --epsilon 1.0
@@ -15,17 +16,20 @@
 //   privbasis_cli --profile kosarak --scale 0.1 --threshold 0.02 --kcap 400
 //   privbasis_cli --input basket.dat --k 50 --rules 0.6 --budget 2.0
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
 #include "data/dataset_stats.h"
 #include "data/synthetic.h"
 #include "engine/engine.h"
+#include "flag_parse.h"
 
 namespace privbasis {
 namespace {
+
+using flags::ParseFinite;
+using flags::ParsePositive;
+using flags::ParseUint;
 
 struct CliOptions {
   std::string input;      // FIMI file; empty = use profile
@@ -74,62 +78,54 @@ void PrintUsage(const char* argv0) {
 
 std::optional<CliOptions> ParseArgs(int argc, char** argv) {
   CliOptions options;
-  auto need_value = [&](int i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      return nullptr;
-    }
-    return argv[i + 1];
-  };
   for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&]() { return need_value(i); };
+    const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") return std::nullopt;
     if (flag == "--quiet") {
       options.quiet = true;
       continue;
     }
-    const char* value = next();
-    if (value == nullptr) return std::nullopt;
-    ++i;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return std::nullopt;
+    }
+    const std::string value = argv[++i];
+    // Numbers parse whole (flag_parse.h); their ranges are
+    // QuerySpec::Validate's, except the two positive dataset knobs.
+    bool ok = true;
     if (flag == "--input") {
       options.input = value;
     } else if (flag == "--profile") {
       options.profile = value;
     } else if (flag == "--scale") {
-      options.scale = std::strtod(value, nullptr);
+      ok = ParsePositive(flag, value, &options.scale);
     } else if (flag == "--method") {
       options.method = value;
     } else if (flag == "--k") {
-      options.k = std::strtoull(value, nullptr, 10);
+      ok = ParseUint(flag, value, &options.k);
     } else if (flag == "--epsilon") {
-      options.epsilon = std::strtod(value, nullptr);
+      ok = ParseFinite(flag, value, &options.epsilon);
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(value, nullptr, 10);
+      ok = ParseUint(flag, value, &options.seed);
     } else if (flag == "--m") {
-      options.m = std::strtoull(value, nullptr, 10);
+      ok = ParseUint(flag, value, &options.m);
     } else if (flag == "--threshold") {
-      options.threshold = std::strtod(value, nullptr);
+      ok = ParseFinite(flag, value, &options.threshold);
     } else if (flag == "--kcap") {
-      options.k_cap = std::strtoull(value, nullptr, 10);
+      ok = ParseUint(flag, value, &options.k_cap);
     } else if (flag == "--rules") {
-      options.rules = std::strtod(value, nullptr);
+      ok = ParseFinite(flag, value, &options.rules);
     } else if (flag == "--budget") {
       // Fail closed: the one flag that CAPS privacy spending must never
       // be silently ignored on a bad value.
-      char* end = nullptr;
-      options.budget = std::strtod(value, &end);
-      if (end == value || *end != '\0' || !(options.budget > 0.0)) {
-        std::fprintf(stderr, "--budget must be a positive number, got %s\n",
-                     value);
-        return std::nullopt;
-      }
+      ok = ParsePositive(flag, value, &options.budget);
     } else if (flag == "--sample") {
-      options.sample = std::strtod(value, nullptr);
+      ok = ParseFinite(flag, value, &options.sample);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return std::nullopt;
+      ok = false;
     }
+    if (!ok) return std::nullopt;
   }
   if (options.input.empty() && options.profile.empty()) {
     std::fprintf(stderr, "one of --input or --profile is required\n");

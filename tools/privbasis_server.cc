@@ -21,19 +21,17 @@
 // Exit codes: 0 clean shutdown, 1 startup failure, 2 bad usage (an
 // unknown flag, or a value its flag does not accept: numbers must parse
 // whole and fit their field).
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 
 #include "data/synthetic.h"
+#include "flag_parse.h"
 #include "server/server.h"
 
 namespace privbasis::server {
@@ -103,44 +101,8 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
-/// Parses all of `value` as an unsigned decimal in [lo, hi] into
-/// `*out`. No sign, space or trailing byte is accepted, so "-1" cannot
-/// wrap and "abc" cannot read as 0. Says why on failure.
-template <typename T>
-bool ParseUint(const std::string& flag, std::string_view value, T* out,
-               uint64_t lo = 0,
-               uint64_t hi = static_cast<uint64_t>(
-                   std::numeric_limits<T>::max())) {
-  uint64_t parsed = 0;
-  const char* last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
-  if (ec != std::errc() || end != last || parsed < lo || parsed > hi) {
-    std::fprintf(stderr,
-                 "%s needs a whole number in [%llu, %llu], got \"%.*s\"\n",
-                 flag.c_str(), static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi),
-                 static_cast<int>(value.size()), value.data());
-    return false;
-  }
-  *out = static_cast<T>(parsed);
-  return true;
-}
-
-/// Parses all of `value` as a finite number greater than 0 into `*out`.
-bool ParsePositive(const std::string& flag, std::string_view value,
-                   double* out) {
-  double parsed = 0.0;
-  const char* last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
-  if (ec != std::errc() || end != last || !std::isfinite(parsed) ||
-      parsed <= 0.0) {
-    std::fprintf(stderr, "%s needs a finite number > 0, got \"%.*s\"\n",
-                 flag.c_str(), static_cast<int>(value.size()), value.data());
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
+using flags::ParsePositive;
+using flags::ParseUint;
 
 std::optional<ServerCliOptions> ParseArgs(int argc, char** argv) {
   ServerCliOptions options;
