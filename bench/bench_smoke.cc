@@ -28,7 +28,6 @@
 #include "data/vertical_index.h"
 #include "engine/engine.h"
 #include "eval/ground_truth.h"
-#include "fim/apriori.h"
 #include "fim/fpgrowth.h"
 #include "fim/fptree.h"
 #include "server/server.h"
@@ -130,7 +129,7 @@ void RunSuite() {
         {{"dataset", "kosarak"}});
   }
 
-  // Global FP-tree construction alone, then full mines.
+  // Global FP-tree construction alone, then a full mine.
   TimePhase(
       "fptree_build",
       [&] {
@@ -146,13 +145,6 @@ void RunSuite() {
         [&] {
           auto result = MineFpGrowth(mushroom, options);
           UnwrapStatus(result.status(), "MineFpGrowth");
-        },
-        {{"dataset", "mushroom"}});
-    TimePhase(
-        "apriori_mine",
-        [&] {
-          auto result = MineApriori(mushroom, options);
-          UnwrapStatus(result.status(), "MineApriori");
         },
         {{"dataset", "mushroom"}});
   }

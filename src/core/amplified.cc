@@ -1,5 +1,9 @@
 #include "core/amplified.h"
 
+#include <memory>
+#include <utility>
+
+#include "core/batch_exec.h"
 #include "dp/amplification.h"
 
 namespace privbasis {
@@ -13,9 +17,11 @@ Result<PrivBasisResult> RunPrivBasisSubsampledImpl(
     return Status::InvalidArgument("epsilon must be > 0");
   }
   const double q = options.sampling_rate;
-  PRIVBASIS_ASSIGN_OR_RETURN(TransactionDatabase sample,
+  PRIVBASIS_ASSIGN_OR_RETURN(TransactionDatabase sampled,
                              PoissonSubsample(db, q, rng));
-  if (sample.NumTransactions() == 0) {
+  auto sample =
+      std::make_shared<const TransactionDatabase>(std::move(sampled));
+  if (sample->NumTransactions() == 0) {
     return Status::FailedPrecondition(
         "subsample is empty; raise sampling_rate or dataset size");
   }
@@ -25,9 +31,12 @@ Result<PrivBasisResult> RunPrivBasisSubsampledImpl(
   // The subsample run spends against its own mechanism-budget ledger;
   // only the amplified end-to-end ε is charged to the caller's.
   PrivacyAccountant mechanism_accountant(mechanism_epsilon);
+  // The dataset's executor counts the full database, so the sample gets
+  // a direct one of its own.
+  const DirectCountExecutor exec(sample, base.basis_freq.num_threads);
   PRIVBASIS_ASSIGN_OR_RETURN(
       PrivBasisResult result,
-      RunPrivBasisImpl(sample, k, mechanism_epsilon, rng, base,
+      RunPrivBasisImpl(*sample, exec, k, mechanism_epsilon, rng, base,
                        mechanism_accountant));
   // Rescale counts from the subsample to the full dataset.
   for (auto& itemset : result.topk) {

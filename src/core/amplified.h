@@ -29,7 +29,9 @@ namespace detail {
 /// entry, so reported spend always equals metered spend. The fk1 hint in
 /// `options.base` is ignored (it would leak the full dataset's
 /// statistics into the subsample run); the subsample's own top-k margin
-/// is mined instead.
+/// is mined instead. The pair and bin counts come from a
+/// DirectCountExecutor over the subsample, bounded by
+/// `options.base.basis_freq.num_threads`.
 Result<PrivBasisResult> RunPrivBasisSubsampledImpl(
     const TransactionDatabase& db, size_t k, double epsilon, Rng& rng,
     const AmplifiedOptions& options, PrivacyAccountant& accountant);

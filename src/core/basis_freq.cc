@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -10,42 +11,12 @@
 #include "common/math_util.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
-#include "core/count_exec.h"
+#include "core/batch_exec.h"
 #include "core/error_variance.h"
 
 namespace privbasis {
 
 namespace {
-
-/// In-place sum-over-supersets (zeta) transform: after the call,
-/// bins[mask] = Σ_{super ⊇ mask} original bins[super]. O(len · 2^len).
-void SupersetSumFast(std::vector<double>* bins, size_t len) {
-  auto& b = *bins;
-  for (size_t bit = 0; bit < len; ++bit) {
-    const uint64_t step = uint64_t{1} << bit;
-    for (uint64_t mask = 0; mask < b.size(); ++mask) {
-      if (!(mask & step)) b[mask] += b[mask | step];
-    }
-  }
-}
-
-/// Naive superset sums, O(3^len): for each mask, enumerate supersets by
-/// iterating over submasks of the complement.
-std::vector<double> SupersetSumNaive(const std::vector<double>& bins,
-                                     size_t len) {
-  const uint64_t full = (uint64_t{1} << len) - 1;
-  std::vector<double> out(bins.size(), 0.0);
-  for (uint64_t mask = 0; mask <= full; ++mask) {
-    const uint64_t free = full & ~mask;
-    double sum = bins[mask];
-    // Enumerate non-empty submasks of `free`.
-    for (uint64_t sub = free; sub != 0; sub = (sub - 1) & free) {
-      sum += bins[mask | sub];
-    }
-    out[mask] = sum;
-  }
-  return out;
-}
 
 /// Running inverse-variance fusion state for one candidate itemset
 /// (Algorithm 1 lines 17–24).
@@ -55,6 +26,16 @@ struct FusedEstimate {
 };
 
 }  // namespace
+
+void SupersetSum(std::vector<double>* bins, size_t len) {
+  auto& b = *bins;
+  for (size_t bit = 0; bit < len; ++bit) {
+    const uint64_t step = uint64_t{1} << bit;
+    for (uint64_t mask = 0; mask < b.size(); ++mask) {
+      if (!(mask & step)) b[mask] += b[mask | step];
+    }
+  }
+}
 
 Result<std::vector<std::vector<uint64_t>>> CountBasisBins(
     const TransactionDatabase& db, const BasisSet& basis_set,
@@ -234,16 +215,19 @@ Result<BasisFreqResult> BasisFreq(const TransactionDatabase& db,
   BasisFreqResult result;
   if (w == 0) return result;
 
-  // Lines 7–11 run FIRST: the exact bin counts — from a direct scan, or
-  // through the executor. Counting consumes no randomness, so hoisting
-  // it above the noise draws leaves the RNG stream untouched and the
-  // release bit-identical either way.
-  PRIVBASIS_ASSIGN_OR_RETURN(
-      std::vector<std::vector<uint64_t>> counts,
-      options.exec != nullptr
-          ? options.exec->BasisBinCounts(basis_set, options.cancel)
-          : CountBasisBins(db, basis_set, options.num_threads,
-                           options.cancel));
+  // Lines 7–11 run FIRST: the exact bin counts, through the caller's
+  // executor or a direct one over `db` (a non-owning handle: the scan
+  // ends before this call returns). Counting consumes no randomness, so
+  // hoisting it above the noise draws leaves the RNG stream untouched
+  // and the release bit-identical either way.
+  const DirectCountExecutor direct(
+      std::shared_ptr<const TransactionDatabase>(std::shared_ptr<void>(),
+                                                 &db),
+      options.num_threads);
+  const CountExecutor& exec =
+      options.exec != nullptr ? *options.exec : direct;
+  PRIVBASIS_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> counts,
+                             exec.BasisBinCounts(basis_set, options.cancel));
   if (counts.size() != w) {
     return Status::Internal("executor returned " +
                             std::to_string(counts.size()) +
@@ -285,13 +269,8 @@ Result<BasisFreqResult> BasisFreq(const TransactionDatabase& db,
   for (size_t i = 0; i < w; ++i) {
     const Itemset& b = basis_set.basis(i);
     const size_t len = b.size();
-    std::vector<double> sums;
-    if (options.use_fast_superset_sum) {
-      sums = std::move(bins[i]);
-      SupersetSumFast(&sums, len);
-    } else {
-      sums = SupersetSumNaive(bins[i], len);
-    }
+    std::vector<double> sums = std::move(bins[i]);
+    SupersetSum(&sums, len);
     std::vector<Item> scratch;
     const uint64_t full = (uint64_t{1} << len) - 1;
     for (uint64_t mask = 1; mask <= full; ++mask) {

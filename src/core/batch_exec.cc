@@ -43,30 +43,15 @@ Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
   return CountPairSupports(*db_, items, num_threads_, cancel);
 }
 
-Result<std::vector<uint64_t>> DirectCountExecutor::SupportOfMany(
-    std::span<const Itemset> queries, const CancelToken* cancel) const {
-  std::vector<uint64_t> counts =
-      index_->SupportOfMany(queries, num_threads_, cancel);
-  if (IsCancelled(cancel)) {
-    return Status::Cancelled("batch support cancelled mid-scan");
-  }
-  return counts;
-}
-
-Result<std::vector<uint64_t>> DirectCountExecutor::ItemSupports(
-    const CancelToken* cancel) const {
-  if (IsCancelled(cancel)) {
-    return Status::Cancelled("item supports cancelled");
-  }
-  return db_->ItemSupports();
-}
-
 // ---------------------------------------------------- BatchingCountExecutor
 
 BatchingCountExecutor::BatchingCountExecutor(
-    std::shared_ptr<const CountExecutor> inner, Options options,
-    std::shared_ptr<BatchStats> stats)
+    std::shared_ptr<const CountExecutor> inner,
+    std::shared_ptr<const VerticalIndex> index, size_t num_threads,
+    Options options, std::shared_ptr<BatchStats> stats)
     : inner_(std::move(inner)),
+      index_(std::move(index)),
+      num_threads_(num_threads),
       options_(options),
       stats_(std::move(stats)) {}
 
@@ -258,9 +243,9 @@ Result<std::vector<uint64_t>> BatchingCountExecutor::PairSupports(
           out.push_back(std::move(counts));
           return out;
         }
-        // Fuse every member's pairs into one SupportOfMany scan, then
-        // reshape each slice back into the dense m×m layout of
-        // CountPairSupports. Pair supports are exact either way.
+        // Look every member's pairs up in one SupportOfMany call on the
+        // index, then reshape each slice back into the dense m×m layout
+        // of CountPairSupports. Pair supports are exact either way.
         std::optional<CancelToken> storage;
         const CancelToken* token = FusedToken(cancels, storage);
         std::vector<Itemset> queries;
@@ -272,8 +257,13 @@ Result<std::vector<uint64_t>> BatchingCountExecutor::PairSupports(
             }
           }
         }
-        PRIVBASIS_ASSIGN_OR_RETURN(Resp counts,
-                                   inner_->SupportOfMany(queries, token));
+        const Resp counts =
+            index_->SupportOfMany(queries, num_threads_, token);
+        // A fired token stops the lookup part way; never split partial
+        // counts.
+        if (IsCancelled(token)) {
+          return Status::Cancelled("batched pair lookup cancelled mid-scan");
+        }
         std::vector<Resp> out;
         out.reserve(reqs.size());
         size_t pos = 0;
@@ -289,16 +279,6 @@ Result<std::vector<uint64_t>> BatchingCountExecutor::PairSupports(
         }
         return out;
       });
-}
-
-Result<std::vector<uint64_t>> BatchingCountExecutor::SupportOfMany(
-    std::span<const Itemset> queries, const CancelToken* cancel) const {
-  return inner_->SupportOfMany(queries, cancel);
-}
-
-Result<std::vector<uint64_t>> BatchingCountExecutor::ItemSupports(
-    const CancelToken* cancel) const {
-  return inner_->ItemSupports(cancel);
 }
 
 }  // namespace privbasis

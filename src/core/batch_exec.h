@@ -1,30 +1,32 @@
-// Same-dataset query batching at the CountExecutor seam.
+// The two CountExecutor implementations: the direct scans every Dataset
+// counts through, and same-dataset query batching.
+//
+// DirectCountExecutor runs CountPairSupports and CountBasisBins over one
+// database and holds no index. Every Dataset builds one with its handle;
+// the subsampled path builds one over its sample, and BasisFreq one over
+// `db` when it is given no executor.
 //
 // N concurrent queries against one dataset each run their own counting
-// scans even though the scans are over the same transactions —
-// VerticalIndex::SupportOfMany and the fused CountBasisBins OR-word
-// path exist precisely to amortize them. BatchingCountExecutor wraps
-// a CountExecutor with a rendezvous gate for each op a query calls
-// (PairSupports, BasisBinCounts): concurrent calls of the same kind are
-// collected for a bounded window (sized by the caller's live in-flight
-// hint), fused into ONE inner scan, and the exact per-member counts are
-// split back out. SupportOfMany and ItemSupports forward unbatched.
+// scans even though the scans are over the same transactions.
+// BatchingCountExecutor wraps the dataset's executor with a rendezvous
+// gate for each op a query calls (PairSupports, BasisBinCounts):
+// concurrent calls of the same kind are collected for a bounded window
+// (sized by the caller's live in-flight hint), fused into ONE count, and
+// the exact per-member counts are split back out. Fused bins are one
+// inner scan over the concatenated bases. Fused pairs are one
+// VerticalIndex::SupportOfMany lookup of every member's pairs, on the
+// index the server hands the batcher when it attaches it: a few hundred
+// pair lookups on the index cost far less than one row scan.
 //
 // Determinism: the fusion merges/splits EXACT integer counts before any
 // member draws noise, and a member that arrives alone passes through to
 // the inner executor verbatim (same function, same cancel token) — so
 // every query's release is bit-identical to its unbatched run at the
 // same seed, whether or not co-riders showed up. The error contract is
-// the CountExecutor one: a failed fused scan fails every member with
+// the CountExecutor one: a failed fused count fails every member with
 // the status (never partial counts), and a member whose own deadline
-// fired during a shared scan gets kCancelled even when the scan
+// fired during a shared count gets kCancelled even when the count
 // finished — fail-closed either way.
-//
-// DirectCountExecutor adapts the direct-scan path (the same
-// CountBasisBins / CountPairSupports calls the mechanisms make when no
-// executor is attached, plus VerticalIndex::SupportOfMany for the fused
-// pair scan) to the CountExecutor interface, so the batcher has an
-// executor to wrap.
 #ifndef PRIVBASIS_CORE_BATCH_EXEC_H_
 #define PRIVBASIS_CORE_BATCH_EXEC_H_
 
@@ -48,35 +50,22 @@ struct BatchStats {
   std::atomic<uint64_t> scans_saved{0};      ///< Σ over batches of (n − 1)
 };
 
-/// The direct-scan path behind the CountExecutor interface: every op
-/// calls the exact function the mechanisms use when no executor is
-/// attached, so attaching this executor never changes a release bit.
-/// `num_threads` bounds the pair and bin scans and the batch supports
-/// (0 = the PRIVBASIS_THREADS env knob).
+/// The direct scans behind the CountExecutor interface, over one
+/// database. `num_threads` bounds both scans (0 = the PRIVBASIS_THREADS
+/// env knob); the counts are identical at every thread count.
 class DirectCountExecutor : public CountExecutor {
  public:
   DirectCountExecutor(std::shared_ptr<const TransactionDatabase> db,
-                      std::shared_ptr<const VerticalIndex> index,
-                      size_t num_threads = 0)
-      : db_(std::move(db)),
-        index_(std::move(index)),
-        num_threads_(num_threads) {}
-
-  size_t NumShards() const override { return 1; }
+                      size_t num_threads)
+      : db_(std::move(db)), num_threads_(num_threads) {}
 
   Result<std::vector<std::vector<uint64_t>>> BasisBinCounts(
       const BasisSet& basis_set, const CancelToken* cancel) const override;
   Result<std::vector<uint64_t>> PairSupports(
       const std::vector<Item>& items, const CancelToken* cancel) const override;
-  Result<std::vector<uint64_t>> SupportOfMany(
-      std::span<const Itemset> queries,
-      const CancelToken* cancel) const override;
-  Result<std::vector<uint64_t>> ItemSupports(
-      const CancelToken* cancel) const override;
 
  private:
   std::shared_ptr<const TransactionDatabase> db_;
-  std::shared_ptr<const VerticalIndex> index_;
   size_t num_threads_;
 };
 
@@ -90,9 +79,14 @@ class BatchingCountExecutor : public CountExecutor {
     size_t max_batch = 8;
   };
 
-  /// `stats` may be null (counters dropped) or shared across executors.
+  /// `inner` counts a member that arrives alone and every fused bin
+  /// round. `index` must index the same database; the fused pair round
+  /// looks its pairs up there with `num_threads` (0 = the
+  /// PRIVBASIS_THREADS env knob). `stats` may be null (counters dropped)
+  /// or shared across executors.
   BatchingCountExecutor(std::shared_ptr<const CountExecutor> inner,
-                        Options options,
+                        std::shared_ptr<const VerticalIndex> index,
+                        size_t num_threads, Options options,
                         std::shared_ptr<BatchStats> stats = nullptr);
   ~BatchingCountExecutor() override;
 
@@ -106,24 +100,15 @@ class BatchingCountExecutor : public CountExecutor {
   void BeginQuery(int64_t window_hint_us = 0);
   void EndQuery();
 
-  const CountExecutor& inner() const { return *inner_; }
-
-  size_t NumShards() const override { return inner_->NumShards(); }
-
   Result<std::vector<std::vector<uint64_t>>> BasisBinCounts(
       const BasisSet& basis_set, const CancelToken* cancel) const override;
   Result<std::vector<uint64_t>> PairSupports(
       const std::vector<Item>& items, const CancelToken* cancel) const override;
-  Result<std::vector<uint64_t>> SupportOfMany(
-      std::span<const Itemset> queries,
-      const CancelToken* cancel) const override;
-  Result<std::vector<uint64_t>> ItemSupports(
-      const CancelToken* cancel) const override;
 
  private:
   /// One rendezvous round: members register (request pointer + their
   /// cancel token), the leader closes the round and runs the fused
-  /// scan, everyone reads their slice. Requests are raw pointers into
+  /// count, everyone reads their slice. Requests are raw pointers into
   /// the members' stacks — valid because every member blocks in the
   /// gate until `done`.
   template <typename Req, typename Resp>
@@ -156,6 +141,8 @@ class BatchingCountExecutor : public CountExecutor {
   bool Passthrough() const;
 
   std::shared_ptr<const CountExecutor> inner_;
+  std::shared_ptr<const VerticalIndex> index_;
+  size_t num_threads_;
   Options options_;
   std::shared_ptr<BatchStats> stats_;
 

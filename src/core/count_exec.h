@@ -9,10 +9,12 @@
 // bit-identical release, because the noise is drawn once, from the
 // exact counts, by the unchanged RNG stream.
 //
-// Implementations: DirectCountExecutor (core/batch_exec.h) runs the
-// mechanisms' own scans of the whole database, which split over the
-// thread pool; BatchingCountExecutor wraps it to fuse concurrent
-// queries' scans. A query calls only PairSupports and BasisBinCounts.
+// Implementations (core/batch_exec.h): DirectCountExecutor runs the two
+// scans (CountPairSupports, CountBasisBins) over one database, split
+// over the thread pool; it is the only caller of those scans, and every
+// Dataset holds one. BatchingCountExecutor wraps a dataset's executor
+// to fuse concurrent queries' scans. A query calls only PairSupports
+// and BasisBinCounts, the two pure virtuals.
 //
 // Error contract: an executor that cannot produce the exact count —
 // a fired deadline, a backend that went away — returns a non-OK status
@@ -39,10 +41,6 @@ class CountExecutor {
  public:
   virtual ~CountExecutor() = default;
 
-  /// Always 1: every executor counts in this process. No query path
-  /// calls it.
-  virtual size_t NumShards() const = 0;
-
   /// Exact BasisFreq bin histograms: out[i][mask] = number of
   /// transactions whose intersection with basis i is exactly the subset
   /// `mask` encodes. Identical to core CountBasisBins on the whole
@@ -56,16 +54,25 @@ class CountExecutor {
   virtual Result<std::vector<uint64_t>> PairSupports(
       const std::vector<Item>& items, const CancelToken* cancel) const = 0;
 
-  /// Exact batch supports: out[q] = support(queries[q]). A query never
-  /// calls it; the batcher's fused pair scan calls it on the executor it
-  /// wraps.
-  virtual Result<std::vector<uint64_t>> SupportOfMany(
-      std::span<const Itemset> queries, const CancelToken* cancel) const = 0;
+  // No query calls the three below, and no executor in src/ overrides
+  // them. They remain only because the benchmark's TimedCountExecutor
+  // (perfbench/src/stages.cc) marks each one `override`; they go with the
+  // next change to the benchmark.
 
-  /// Exact per-item supports over the whole universe (index = item id).
-  /// No query path calls it: item selection reads db() directly.
+  /// Always 1: every executor counts in this process.
+  virtual size_t NumShards() const { return 1; }
+
+  /// Refuses: batch itemset supports are not a query op.
+  virtual Result<std::vector<uint64_t>> SupportOfMany(
+      std::span<const Itemset>, const CancelToken*) const {
+    return Status::Internal("SupportOfMany is not a query op");
+  }
+
+  /// Refuses: item selection reads the database's support order.
   virtual Result<std::vector<uint64_t>> ItemSupports(
-      const CancelToken* cancel) const = 0;
+      const CancelToken*) const {
+    return Status::Internal("ItemSupports is not a query op");
+  }
 };
 
 }  // namespace privbasis

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/logspace.h"
 #include "common/thread_pool.h"
 #include "core/construct_basis.h"
-#include "core/count_exec.h"
 #include "dp/budget.h"
 #include "dp/exponential_mechanism.h"
 #include "fim/topk.h"
@@ -142,9 +142,22 @@ Status ValidatePrivBasisOptions(size_t k, double epsilon,
     return Status::InvalidArgument(
         "alpha1, alpha2, alpha3 must be positive and sum to at most 1");
   }
-  if (options.eta < 1.0) {
+  if (!(options.eta >= 1.0) || !std::isfinite(options.eta)) {
     return Status::InvalidArgument(
-        "eta must be >= 1 (GetLambda targets the ceil(eta*k)-th itemset)");
+        "eta must be >= 1 and finite (GetLambda targets the "
+        "ceil(eta*k)-th itemset)");
+  }
+  // The margin rank ceil(eta*k) and the default lambda cap 3*k are
+  // size_t; casting an out-of-range double is undefined behaviour, and
+  // 3*k would wrap.
+  if (k > std::numeric_limits<size_t>::max() / 3) {
+    return Status::InvalidArgument("k is too large (3*k must fit in size_t)");
+  }
+  const double size_limit =
+      std::ldexp(1.0, std::numeric_limits<size_t>::digits);
+  if (!(std::ceil(static_cast<double>(k) * options.eta) < size_limit)) {
+    return Status::InvalidArgument(
+        "eta*k is too large (ceil(eta*k) must fit in size_t)");
   }
   // ConstructBasisSet needs ℓ ≥ 3 and BasisFreq refuses a basis longer
   // than its cap. Both fail only after ε is reserved, so check here.
@@ -163,7 +176,8 @@ Status ValidatePrivBasisOptions(size_t k, double epsilon,
 namespace detail {
 
 Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
-                                         size_t k, double epsilon, Rng& rng,
+                                         const CountExecutor& exec, size_t k,
+                                         double epsilon, Rng& rng,
                                          const PrivBasisOptions& options,
                                          PrivacyAccountant& accountant) {
   PRIVBASIS_RETURN_NOT_OK(ValidatePrivBasisOptions(k, epsilon, options));
@@ -242,20 +256,12 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
     // Step 3: the λ2 most frequent pairs within F.
     std::vector<Itemset> p;
     if (lambda2_count > 0 && f.size() >= 2) {
-      std::vector<uint64_t> pair_counts;
-      if (options.exec != nullptr) {
-        PRIVBASIS_ASSIGN_OR_RETURN(
-            pair_counts, options.exec->PairSupports(f, options.cancel));
-        if (pair_counts.size() != f.size() * f.size()) {
-          return Status::Internal(
-              "executor returned " + std::to_string(pair_counts.size()) +
-              " pair counts for " + std::to_string(f.size()) + " items");
-        }
-      } else {
-        PRIVBASIS_ASSIGN_OR_RETURN(
-            pair_counts,
-            CountPairSupports(db, f, options.basis_freq.num_threads,
-                              options.cancel));
+      PRIVBASIS_ASSIGN_OR_RETURN(std::vector<uint64_t> pair_counts,
+                                 exec.PairSupports(f, options.cancel));
+      if (pair_counts.size() != f.size() * f.size()) {
+        return Status::Internal(
+            "executor returned " + std::to_string(pair_counts.size()) +
+            " pair counts for " + std::to_string(f.size()) + " items");
       }
       std::vector<std::pair<uint32_t, uint32_t>> pair_index;
       std::vector<uint64_t> qualities;
@@ -290,7 +296,7 @@ Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
 
   // Step 5: noisy counts over C(B) and top-k selection.
   BasisFreqOptions bf_options = options.basis_freq;
-  if (bf_options.exec == nullptr) bf_options.exec = options.exec;
+  bf_options.exec = &exec;
   PRIVBASIS_ASSIGN_OR_RETURN(
       BasisFreqResult bf,
       BasisFreq(db, result.basis_set, k, alpha3_eps, rng, &accountant,

@@ -22,6 +22,7 @@
 #include "common/support_groups.h"
 #include "core/basis.h"
 #include "core/basis_freq.h"
+#include "core/count_exec.h"
 #include "data/transaction_db.h"
 #include "dp/budget.h"
 #include "fim/miner.h"
@@ -62,13 +63,9 @@ struct PrivBasisOptions {
   /// and pair counting); the Engine also mirrors this into
   /// basis_freq.cancel. nullptr = not cancellable.
   const CancelToken* cancel = nullptr;
-  /// Counting seam (core/count_exec.h): when set, the exact pair
-  /// supports of step 3 and the BasisFreq bin counts of step 5 come from
-  /// the executor instead of direct scans of `db`. Bit-identical either
-  /// way; mining (the fk1 hint) and item selection read `db` directly.
-  /// Mirrored into basis_freq.exec when that is unset.
-  const CountExecutor* exec = nullptr;
-  /// Step 5 options. Their num_threads also bounds the step 3 pair scan.
+  /// Step 5 options. RunPrivBasisImpl counts through the executor it is
+  /// given, so their `exec` is ignored there, and their num_threads
+  /// bounds only the scans over a subsample (core/amplified.h).
   BasisFreqOptions basis_freq;
 };
 
@@ -85,7 +82,8 @@ struct PrivBasisResult {
 };
 
 /// Validates the (k, ε, options) triple of one PrivBasis query: k ≥ 1,
-/// ε > 0 and finite, α1/α2/α3 positive with α1+α2+α3 ≤ 1, η ≥ 1,
+/// ε > 0 and finite, α1/α2/α3 positive with α1+α2+α3 ≤ 1, η ≥ 1 and
+/// finite, ⌈η·k⌉ and 3·k within size_t (the margin rank and the λ cap),
 /// 3 ≤ max_basis_length ≤ basis_freq.max_basis_length, and
 /// single_basis_lambda_cap ≤ basis_freq.max_basis_length (ConstructBasisSet
 /// and BasisFreq would refuse anything else only after ε is spent). The
@@ -101,9 +99,14 @@ namespace detail {
 /// expenditure is drawn from `accountant`, which must be a fresh
 /// run-scoped ledger with at least `epsilon` of headroom (the Engine
 /// constructs one per call). `result.epsilon_spent` is read back from
-/// the accountant, never recomputed.
+/// the accountant, never recomputed. The exact pair supports of step 3
+/// and the bin counts of step 5 come from `exec`, which must count over
+/// `db` (the Engine passes the dataset's executor, the subsampled path a
+/// direct one over its sample); the fk1 mine and item selection read
+/// `db` directly. A result of the wrong shape fails with kInternal.
 Result<PrivBasisResult> RunPrivBasisImpl(const TransactionDatabase& db,
-                                         size_t k, double epsilon, Rng& rng,
+                                         const CountExecutor& exec, size_t k,
+                                         double epsilon, Rng& rng,
                                          const PrivBasisOptions& options,
                                          PrivacyAccountant& accountant);
 
@@ -142,7 +145,8 @@ Result<std::vector<size_t>> GetFreqElements(const SupportGroups& candidates,
 /// index i*|items| + j. The scan splits over the thread pool like
 /// CountBasisBins (`num_threads` 0 = the PRIVBASIS_THREADS env knob) and
 /// the counts are identical at every thread count. A fired `cancel`
-/// token unwinds with kCancelled within one transaction chunk.
+/// token unwinds with kCancelled within one transaction chunk. Queries
+/// reach it through DirectCountExecutor (core/batch_exec.h).
 Result<std::vector<uint64_t>> CountPairSupports(
     const TransactionDatabase& db, const std::vector<Item>& items,
     size_t num_threads = 0, const CancelToken* cancel = nullptr);

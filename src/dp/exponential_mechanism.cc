@@ -1,64 +1,10 @@
 #include "dp/exponential_mechanism.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <string>
 
 #include "common/logspace.h"
 
 namespace privbasis {
-
-double EmExponentFactor(const EmOptions& options) {
-  double denom = (options.monotonic ? 1.0 : 2.0) * options.sensitivity;
-  return options.epsilon / denom;
-}
-
-Result<size_t> ExponentialMechanismSelect(Rng& rng,
-                                          std::span<const double> qualities,
-                                          const EmOptions& options) {
-  if (qualities.empty()) {
-    return Status::InvalidArgument("no candidates to select from");
-  }
-  if (!(options.epsilon > 0.0) || !(options.sensitivity > 0.0)) {
-    return Status::InvalidArgument("epsilon and sensitivity must be > 0");
-  }
-  const double factor = EmExponentFactor(options);
-  GumbelMaxSampler sampler(&rng);
-  for (size_t i = 0; i < qualities.size(); ++i) {
-    sampler.Offer(i, factor * qualities[i]);
-  }
-  return sampler.WinnerKey();
-}
-
-Result<std::vector<size_t>> ExponentialMechanismSelectK(
-    Rng& rng, std::span<const double> qualities, size_t count,
-    const EmOptions& options) {
-  if (count > qualities.size()) {
-    return Status::InvalidArgument("cannot select " + std::to_string(count) +
-                                   " of " + std::to_string(qualities.size()) +
-                                   " candidates without replacement");
-  }
-  if (!(options.epsilon > 0.0) || !(options.sensitivity > 0.0)) {
-    return Status::InvalidArgument("epsilon and sensitivity must be > 0");
-  }
-  EmOptions per_round = options;
-  per_round.epsilon = options.epsilon / static_cast<double>(count);
-  const double factor = EmExponentFactor(per_round);
-
-  std::vector<bool> taken(qualities.size(), false);
-  std::vector<size_t> out;
-  out.reserve(count);
-  for (size_t round = 0; round < count; ++round) {
-    GumbelMaxSampler sampler(&rng);
-    for (size_t i = 0; i < qualities.size(); ++i) {
-      if (!taken[i]) sampler.Offer(i, factor * qualities[i]);
-    }
-    size_t winner = sampler.WinnerKey();
-    taken[winner] = true;
-    out.push_back(winner);
-  }
-  return out;
-}
 
 GroupedEmPool::GroupedEmPool(const SupportGroups& groups)
     : groups_(&groups),

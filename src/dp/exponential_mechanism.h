@@ -1,6 +1,8 @@
 // The exponential mechanism (McSherry & Talwar): select r with probability
 // ∝ exp(ε·q(D,r) / (2·GS_q)); the factor 2 drops for monotone quality
-// functions (paper §2.1, Eq. 1 and the discussion after it).
+// functions (paper §2.1, Eq. 1 and the discussion after it). PrivBasis
+// selects through GroupedEmPool below; the per-candidate form lives on
+// as a test oracle in tests/exponential_mechanism_reference.h.
 //
 // All selection happens in log space via the Gumbel-max trick — quality
 // scores can be raw counts (up to ~1e15) without overflow.
@@ -19,35 +21,6 @@
 #include "common/support_groups.h"
 
 namespace privbasis {
-
-/// Parameters of one exponential-mechanism invocation.
-struct EmOptions {
-  /// Privacy parameter of this invocation.
-  double epsilon = 1.0;
-  /// Global sensitivity GS_q of the quality function.
-  double sensitivity = 1.0;
-  /// When the quality function is monotone (a single tuple change moves
-  /// all qualities in one direction), the factor 1/2 in the exponent can
-  /// be dropped, doubling effective accuracy.
-  bool monotonic = false;
-};
-
-/// Exponent multiplier applied to qualities: ε / ((monotonic ? 1 : 2)·GS).
-double EmExponentFactor(const EmOptions& options);
-
-/// Selects an index with P(i) ∝ exp(factor · qualities[i]).
-/// `qualities` must be non-empty.
-Result<size_t> ExponentialMechanismSelect(Rng& rng,
-                                          std::span<const double> qualities,
-                                          const EmOptions& options);
-
-/// Repeated exponential mechanism *without replacement*: `count` rounds,
-/// each spending options.epsilon / count, re-normalized over the remaining
-/// candidates (the paper's GetFreqElements). Returns distinct indices in
-/// selection order. Requires count ≤ qualities.size().
-Result<std::vector<size_t>> ExponentialMechanismSelectK(
-    Rng& rng, std::span<const double> qualities, size_t count,
-    const EmOptions& options);
 
 /// Candidates with integer qualities, grouped by quality value, for
 /// repeated selection without replacement.

@@ -14,7 +14,9 @@ Dataset::Dataset(std::shared_ptr<const TransactionDatabase> db,
                  Options options)
     : db_(std::move(db)),
       options_(options),
-      accountant_(std::make_shared<Accountant>(options.total_epsilon)) {}
+      accountant_(std::make_shared<Accountant>(options.total_epsilon)) {
+  AttachCountExecutor(nullptr);
+}
 
 std::shared_ptr<Dataset> Dataset::Create(TransactionDatabase db,
                                          Options options) {
@@ -67,26 +69,16 @@ std::shared_ptr<const VerticalIndex> Dataset::Index() const {
   return index_.value;
 }
 
-std::shared_ptr<const CountExecutor> Dataset::count_executor() const {
-  MutexLock lock(executor_mu_);
-  return executor_;
-}
-
 std::shared_ptr<const CountExecutor> Dataset::EnsureCountExecutor() const {
-  std::shared_ptr<const CountExecutor> exec = count_executor();
-  if (exec != nullptr) return exec;
-  // Adapt the direct-scan path. Build the index OUTSIDE the executor
-  // lock (Index() takes its own cell lock).
-  std::shared_ptr<const VerticalIndex> index = Index();
   MutexLock lock(executor_mu_);
-  if (executor_ == nullptr) {
-    executor_ = std::make_shared<const DirectCountExecutor>(
-        db_, std::move(index), options_.num_threads);
-  }
   return executor_;
 }
 
 void Dataset::AttachCountExecutor(std::shared_ptr<const CountExecutor> exec) {
+  if (exec == nullptr) {
+    exec = std::make_shared<const DirectCountExecutor>(db_,
+                                                       options_.num_threads);
+  }
   MutexLock lock(executor_mu_);
   executor_ = std::move(exec);
 }

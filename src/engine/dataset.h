@@ -20,7 +20,8 @@
 // this).
 //
 // Each Dataset owns an Accountant — the privacy-budget ledger every query
-// on this data draws from (engine/accountant.h).
+// on this data draws from (engine/accountant.h) — and the CountExecutor
+// its full-data queries count through (core/count_exec.h).
 #ifndef PRIVBASIS_ENGINE_DATASET_H_
 #define PRIVBASIS_ENGINE_DATASET_H_
 
@@ -51,8 +52,9 @@ struct DatasetOptions {
   /// kUnlimited tracks spend without refusing any query.
   double total_epsilon = Accountant::kUnlimited;
   /// Parallelism for cache construction (index build, top-k mining) and
-  /// for the counting scans of an executor built by EnsureCountExecutor;
-  /// 0 = the PRIVBASIS_THREADS env knob.
+  /// for every full-data query's counting scans (the dataset's direct
+  /// executor, and a batcher's fused pair lookups); 0 = the
+  /// PRIVBASIS_THREADS env knob.
   size_t num_threads = 0;
 };
 
@@ -95,23 +97,18 @@ class Dataset {
   /// Memoized hybrid tid-list index (built on first use).
   std::shared_ptr<const VerticalIndex> Index() const;
 
-  /// The executor queries on this dataset count through: the attached
-  /// one (the server's batcher), else the one EnsureCountExecutor built,
-  /// else nullptr (mechanisms scan `db()` directly). The handle keeps
-  /// the returned executor alive.
-  std::shared_ptr<const CountExecutor> count_executor() const;
-
-  /// Like count_executor(), but never nullptr: when none is set it
-  /// builds (and memoizes) a DirectCountExecutor over db() + Index() —
-  /// the exact functions the mechanisms call when no executor is
-  /// attached, so routing counts through it never changes a release
-  /// bit. The batching layer wraps this so it can fuse scans.
+  /// The executor every full-data PrivBasis query on this dataset counts
+  /// its pair supports and bin histograms through: the attached one (the
+  /// server's batcher), else the DirectCountExecutor over db() and
+  /// options().num_threads that the handle is built with. Never nullptr,
+  /// and it builds nothing: the direct executor holds no index. The
+  /// caller's copy keeps the executor alive across an
+  /// AttachCountExecutor.
   std::shared_ptr<const CountExecutor> EnsureCountExecutor() const;
 
   /// Installs an externally built executor (the server attaches a
   /// BatchingCountExecutor at dataset registration when batching is on;
-  /// tests attach faulty ones). Replaces any previously built/attached
-  /// executor; nullptr detaches it, so queries scan `db()` directly.
+  /// tests attach faulty ones). nullptr restores a direct executor.
   /// Meant to be called before the dataset serves queries.
   void AttachCountExecutor(std::shared_ptr<const CountExecutor> exec);
 
@@ -196,10 +193,9 @@ class Dataset {
 
   mutable CacheCell<DatasetStats> stats_;
   mutable CacheCell<std::shared_ptr<const VerticalIndex>> index_;
-  /// The attached executor, or the one EnsureCountExecutor built.
+  /// The attached executor, or the direct one.
   mutable Mutex executor_mu_;
-  mutable std::shared_ptr<const CountExecutor> executor_
-      PB_GUARDED_BY(executor_mu_);
+  std::shared_ptr<const CountExecutor> executor_ PB_GUARDED_BY(executor_mu_);
   mutable KeyedCache<size_t, uint64_t> margins_;  // k1 -> support
   mutable KeyedCache<size_t, std::shared_ptr<const GroundTruth>> truths_;
   mutable KeyedCache<TfKey, std::shared_ptr<const TfRunner>> tf_runners_;

@@ -16,13 +16,14 @@ namespace {
 /// preprocessing). Runs BEFORE the budget reservation: a failure here
 /// has released nothing, so it must not charge the ledger — only
 /// failures after noise could have been drawn trigger the lease's
-/// fail-safe full charge.
+/// fail-safe full charge. For PrivBasis that is the cached margin, the
+/// query's cancel token threaded into every scan, and the dataset's
+/// executor, held here so that an AttachCountExecutor mid-query cannot
+/// free it.
 struct PreparedQuery {
   PrivBasisOptions pb;
-  std::shared_ptr<const TfRunner> tf_runner;
-  // Keeps pb.exec alive for the whole run even if the dataset's
-  // executor is swapped (AttachCountExecutor) mid-query.
   std::shared_ptr<const CountExecutor> exec;
+  std::shared_ptr<const TfRunner> tf_runner;
 };
 
 Result<PreparedQuery> Prepare(const Dataset& dataset, const QuerySpec& spec) {
@@ -44,14 +45,11 @@ Result<PreparedQuery> Prepare(const Dataset& dataset, const QuerySpec& spec) {
       // BasisFreq pass each poll it once per work chunk.
       prepared.pb.cancel = spec.cancel;
       prepared.pb.basis_freq.cancel = spec.cancel;
-      // Route counting scans through the dataset's executor (nullptr
-      // when none is set: the mechanisms then scan db() directly). The
-      // subsampled path scans a fresh subsample database, which the
-      // executor does not cover, so it stays on the direct path. The
-      // shared_ptr in `prepared` keeps the executor alive for the run.
-      if (spec.sampling_rate >= 1.0 && prepared.pb.exec == nullptr) {
-        prepared.exec = dataset.count_executor();
-        prepared.pb.exec = prepared.exec.get();
+      // The full-data path counts through the dataset's executor. The
+      // subsampled path counts a fresh sample, which that executor does
+      // not cover, so it builds its own over the sample.
+      if (spec.sampling_rate >= 1.0) {
+        prepared.exec = dataset.EnsureCountExecutor();
       }
       break;
     case QueryMethod::kTruncatedFrequency:
@@ -64,18 +62,18 @@ Result<PreparedQuery> Prepare(const Dataset& dataset, const QuerySpec& spec) {
 
 /// The PrivBasis family: plain top-k, subsampled, and the θ filter.
 Result<PrivBasisResult> RunPb(const Dataset& dataset, const QuerySpec& spec,
-                              const PrivBasisOptions& pb, Rng& rng,
+                              const PreparedQuery& prepared, Rng& rng,
                               PrivacyAccountant& run_ledger) {
   const TransactionDatabase& db = dataset.db();
   if (spec.sampling_rate < 1.0) {
     AmplifiedOptions amplified;
     amplified.sampling_rate = spec.sampling_rate;
-    amplified.base = pb;
+    amplified.base = prepared.pb;
     return detail::RunPrivBasisSubsampledImpl(db, spec.k, spec.epsilon, rng,
                                               amplified, run_ledger);
   }
-  return detail::RunPrivBasisImpl(db, spec.k, spec.epsilon, rng, pb,
-                                  run_ledger);
+  return detail::RunPrivBasisImpl(db, *prepared.exec, spec.k, spec.epsilon,
+                                  rng, prepared.pb, run_ledger);
 }
 
 }  // namespace
@@ -120,7 +118,7 @@ Result<Release> Engine::Run(const Dataset& dataset, const QuerySpec& spec,
     case QueryMethod::kPrivBasis: {
       PRIVBASIS_ASSIGN_OR_RETURN(
           PrivBasisResult result,
-          RunPb(dataset, spec, prepared.pb, rng, run_ledger));
+          RunPb(dataset, spec, prepared, rng, run_ledger));
       if (spec.theta > 0.0) {
         detail::FilterByNoisyThreshold(spec.theta, db.NumTransactions(),
                                        &result.topk);

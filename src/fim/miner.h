@@ -37,9 +37,8 @@ struct MiningOptions {
   /// O(max_patterns); the returned set is always ≤ max_patterns.
   uint64_t max_patterns = 0;
   /// Parallelism for miners with a parallel path (FP-Growth's tree build
-  /// and first projection level, Apriori's batched support counting);
-  /// 0 = the PRIVBASIS_THREADS env knob. Results are identical at every
-  /// thread count.
+  /// and first projection level); 0 = the PRIVBASIS_THREADS env knob.
+  /// Results are identical at every thread count.
   size_t num_threads = 0;
   /// Cooperative cancellation (common/cancel.h): the miner polls once
   /// per work chunk and returns StatusCode::kCancelled if the token has

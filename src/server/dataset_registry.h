@@ -110,8 +110,9 @@ class DatasetRegistry {
   ///   {"transactions": [[1,2,9], [2,9], ...]}      inline
   ///   {"profile": "mushroom", "scale": 0.5}        synthetic profile
   /// plus optional "budget" (total ε; default unlimited), "seed"
-  /// (profile generation; default 42), and "threads" (cache-build
-  /// parallelism; default the env knob). Unknown keys are rejected.
+  /// (profile generation; default 42), and "threads" (parallelism of
+  /// the dataset's cache builds and of every full-data query's counting
+  /// scans; default the env knob). Unknown keys are rejected.
   Result<Registered> RegisterFromJson(const json::Value& request);
 
   /// Builds (without registering) a Dataset from the same JSON shape.

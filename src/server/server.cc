@@ -360,9 +360,11 @@ Status QueryServer::AttachBatcher(const std::string& id,
                                   const std::shared_ptr<Dataset>& dataset) {
   // Wrap the direct scan so same-dataset queries can share scans.
   // Fused counts merge exactly before any noise draw, so attaching the
-  // batcher never changes a release bit.
+  // batcher never changes a release bit. Its fused pair round reads the
+  // dataset's index, which is built here, at attach.
   auto batcher = std::make_shared<BatchingCountExecutor>(
-      dataset->EnsureCountExecutor(),
+      dataset->EnsureCountExecutor(), dataset->Index(),
+      dataset->options().num_threads,
       BatchingCountExecutor::Options{.window_us = batch_window_us_,
                                      .max_batch = max_batch_},
       batch_stats_);

@@ -188,7 +188,8 @@ class QueryServer {
   HttpResponse Route(const HttpRequest& request);
 
   /// Registry attach hook (installed only when batching is on): wraps
-  /// the dataset's direct executor in a BatchingCountExecutor.
+  /// the dataset's direct executor in a BatchingCountExecutor that
+  /// fuses pairs on the dataset's index (built here).
   Status AttachBatcher(const std::string& id,
                        const std::shared_ptr<Dataset>& dataset);
   /// True once Start() resolved the batching knobs to an active config.

@@ -1,16 +1,31 @@
-#include "fim/apriori.h"
+// Apriori (Agrawal & Srikant, VLDB'94), kept as a test oracle: level-wise
+// candidate generation with downward-closure pruning, every candidate's
+// support counted on a VerticalIndex. No query, mine or server path runs
+// it; fim_test and fptree_test check FP-Growth against it, including the
+// truncation contract, on inputs where the brute-force oracle's subset
+// enumeration would not finish.
+#ifndef PRIVBASIS_TESTS_APRIORI_REFERENCE_H_
+#define PRIVBASIS_TESTS_APRIORI_REFERENCE_H_
 
 #include <algorithm>
 #include <span>
 #include <unordered_set>
+#include <vector>
 
-namespace privbasis {
+#include "common/status.h"
+#include "data/itemset.h"
+#include "data/transaction_db.h"
+#include "data/vertical_index.h"
+#include "fim/miner.h"
 
-namespace {
+namespace privbasis::testing {
+
+namespace apriori_detail {
 
 /// Joins two sorted k-itemsets sharing their first k−1 items into a
 /// (k+1)-candidate; returns false when they do not share the prefix.
-bool JoinPrefix(const Itemset& a, const Itemset& b, std::vector<Item>* out) {
+inline bool JoinPrefix(const Itemset& a, const Itemset& b,
+                       std::vector<Item>* out) {
   const size_t k = a.size();
   for (size_t i = 0; i + 1 < k; ++i) {
     if (a[i] != b[i]) return false;
@@ -22,7 +37,7 @@ bool JoinPrefix(const Itemset& a, const Itemset& b, std::vector<Item>* out) {
 }
 
 /// Downward-closure check: every k-subset of `candidate` must be frequent.
-bool AllSubsetsFrequent(
+inline bool AllSubsetsFrequent(
     const std::vector<Item>& candidate,
     const std::unordered_set<std::vector<Item>, ItemVectorHash>& frequent) {
   std::vector<Item> sub(candidate.size() - 1);
@@ -36,20 +51,18 @@ bool AllSubsetsFrequent(
   return true;
 }
 
-}  // namespace
+}  // namespace apriori_detail
 
-Result<MiningResult> MineApriori(const TransactionDatabase& db,
-                                 const MiningOptions& options) {
-  VerticalIndex index(db);
-  return MineApriori(db, index, options);
-}
-
-Result<MiningResult> MineApriori(const TransactionDatabase& db,
-                                 const VerticalIndex& index,
-                                 const MiningOptions& options) {
+/// Mines all itemsets with support ≥ options.min_support (length ≤
+/// options.max_length if set). On exceeding options.max_patterns it
+/// returns the truncated set with result.aborted per the MiningResult
+/// contract. Results are in canonical order.
+inline Result<MiningResult> MineApriori(const TransactionDatabase& db,
+                                        const MiningOptions& options) {
   if (options.min_support < 1) {
     return Status::InvalidArgument("min_support must be >= 1");
   }
+  const VerticalIndex index(db);
   MiningResult result;
 
   // Level 1 from the precomputed item supports.
@@ -86,24 +99,16 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
 
     // Join step: pairs sharing a (k−1)-prefix. `level` is sorted
     // lexicographically, so joinable partners are contiguous. Candidates
-    // batch into bounded chunks counted by one SupportOfMany call each —
-    // the pool fans the queries out and reuses the per-thread query
-    // scratch instead of paying one dispatch per candidate, while the
-    // chunk cap keeps the level-2 all-pairs join (every pair of frequent
-    // items is a candidate) from materializing O(F²) itemsets at once.
+    // are counted in bounded chunks, one SupportOfMany call each, so the
+    // level-2 all-pairs join never materializes O(F²) itemsets at once.
     constexpr size_t kCandidateChunk = 1 << 16;
     std::vector<Itemset> candidates;
     std::vector<uint64_t> supports;
     std::vector<FrequentItemset> next;
-    // A fired cancel token stops the batch mid-chunk; the partially
-    // counted supports are discarded with the whole level.
-    auto flush = [&]() -> Status {
+    auto flush = [&] {
       supports.resize(candidates.size());
       index.SupportOfMany(candidates, std::span<uint64_t>(supports),
-                          options.num_threads, options.cancel);
-      if (IsCancelled(options.cancel)) {
-        return Status::Cancelled("apriori mine cancelled mid-scan");
-      }
+                          options.num_threads);
       for (size_t c = 0; c < candidates.size(); ++c) {
         if (supports[c] >= options.min_support) {
           next.push_back(
@@ -111,20 +116,22 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
         }
       }
       candidates.clear();
-      return Status::OK();
     };
     std::vector<Item> candidate;
     for (size_t i = 0; i < level.size(); ++i) {
       for (size_t j = i + 1; j < level.size(); ++j) {
-        if (!JoinPrefix(level[i].items, level[j].items, &candidate)) break;
-        if (!AllSubsetsFrequent(candidate, frequent)) continue;
-        candidates.push_back(Itemset::FromSorted(candidate));
-        if (candidates.size() >= kCandidateChunk) {
-          PRIVBASIS_RETURN_NOT_OK(flush());
+        if (!apriori_detail::JoinPrefix(level[i].items, level[j].items,
+                                        &candidate)) {
+          break;
         }
+        if (!apriori_detail::AllSubsetsFrequent(candidate, frequent)) {
+          continue;
+        }
+        candidates.push_back(Itemset::FromSorted(candidate));
+        if (candidates.size() >= kCandidateChunk) flush();
       }
     }
-    PRIVBASIS_RETURN_NOT_OK(flush());
+    flush();
     level = std::move(next);
     ++level_num;
   }
@@ -133,4 +140,6 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
   return result;
 }
 
-}  // namespace privbasis
+}  // namespace privbasis::testing
+
+#endif  // PRIVBASIS_TESTS_APRIORI_REFERENCE_H_

@@ -1,22 +1,29 @@
-#include "fim/brute_force.h"
+// Brute-force miner, kept as a test oracle: exhaustively counts every
+// (length-capped) subset of every transaction. Exponential in
+// transaction length, so keep the inputs it sees small. fim_test,
+// fptree_test and topk_test check the shipped miners against it.
+#ifndef PRIVBASIS_TESTS_BRUTE_FORCE_REFERENCE_H_
+#define PRIVBASIS_TESTS_BRUTE_FORCE_REFERENCE_H_
 
+#include <functional>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
-namespace privbasis {
+#include "common/status.h"
+#include "data/itemset.h"
+#include "data/transaction_db.h"
+#include "fim/miner.h"
 
-void SortCanonical(std::vector<FrequentItemset>* itemsets) {
-  std::sort(itemsets->begin(), itemsets->end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              if (a.support != b.support) return a.support > b.support;
-              if (a.items.size() != b.items.size()) {
-                return a.items.size() < b.items.size();
-              }
-              return a.items < b.items;
-            });
-}
+namespace privbasis::testing {
 
-Result<MiningResult> MineBruteForce(const TransactionDatabase& db,
-                                    const MiningOptions& options) {
+/// Mines all itemsets with support ≥ options.min_support and length ≤
+/// options.max_length by hash-counting transaction subsets.
+/// options.max_length must be ≥ 1 (an unbounded cap on, say, a 50-item
+/// transaction would enumerate 2^50 subsets). Results are in canonical
+/// order. max_patterns is ignored.
+inline Result<MiningResult> MineBruteForce(const TransactionDatabase& db,
+                                           const MiningOptions& options) {
   if (options.min_support < 1) {
     return Status::InvalidArgument("min_support must be >= 1");
   }
@@ -62,4 +69,6 @@ Result<MiningResult> MineBruteForce(const TransactionDatabase& db,
   return result;
 }
 
-}  // namespace privbasis
+}  // namespace privbasis::testing
+
+#endif  // PRIVBASIS_TESTS_BRUTE_FORCE_REFERENCE_H_

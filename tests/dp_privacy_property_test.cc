@@ -13,9 +13,13 @@
 #include "common/rng.h"
 #include "dp/exponential_mechanism.h"
 #include "dp/laplace_mechanism.h"
+#include "exponential_mechanism_reference.h"
 
 namespace privbasis {
 namespace {
+
+using ::privbasis::testing::EmOptions;
+using ::privbasis::testing::ExponentialMechanismSelect;
 
 /// Checks max over outcomes of |log(P(o|D)/P(o|D'))| <= eps + slack given
 /// two outcome histograms.

@@ -7,8 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
 #include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,20 @@ std::shared_ptr<Dataset> SmallDataset(double total_epsilon =
                                           Accountant::kUnlimited) {
   return Dataset::Create(MakeRandomDb({.seed = 7, .num_transactions = 200}),
                          {.total_epsilon = total_epsilon});
+}
+
+/// Specs whose η is not finite, or whose margin rank ⌈η·k⌉ or default
+/// λ cap 3·k would not fit in size_t: each used to reach an out-of-range
+/// float-to-integer cast (or a wrapping 3·k) after validation.
+std::vector<QuerySpec> OutOfRangeSpecs() {
+  QuerySpec inf_eta;
+  inf_eta.pb.eta = std::numeric_limits<double>::infinity();
+  QuerySpec nan_eta;
+  nan_eta.pb.eta = std::numeric_limits<double>::quiet_NaN();
+  QuerySpec huge_eta = QuerySpec().WithTopK(10);
+  huge_eta.pb.eta = 1e300;
+  return {inf_eta, nan_eta, huge_eta,
+          QuerySpec().WithTopK(std::numeric_limits<size_t>::max())};
 }
 
 bool SameRelease(const std::vector<NoisyItemset>& a,
@@ -101,6 +116,11 @@ TEST(QuerySpecTest, ValidateCentralizesOptionChecks) {
   narrow_bins.pb.max_basis_length = 9;
   EXPECT_FALSE(narrow_bins.Validate().ok());
 
+  for (const QuerySpec& spec : OutOfRangeSpecs()) {
+    EXPECT_FALSE(spec.Validate().ok())
+        << "k " << spec.k << ", eta " << spec.pb.eta;
+  }
+
   EXPECT_TRUE(QuerySpec().Validate().ok());
   EXPECT_TRUE(QuerySpec().WithThreshold(0.1, 100).Validate().ok());
 }
@@ -119,11 +139,13 @@ TEST(EngineTest, InvalidSpecRejectedBeforeAnySpend) {
   }
   refused.push_back(QuerySpec().WithTopK(10));
   refused.back().pb.single_basis_lambda_cap = 100;
+  for (const QuerySpec& spec : OutOfRangeSpecs()) refused.push_back(spec);
   for (const QuerySpec& spec : refused) {
     auto release = Engine::Run(*dataset, spec);
     EXPECT_EQ(release.status().code(), StatusCode::kInvalidArgument)
-        << "max_basis_length " << spec.pb.max_basis_length
-        << ", single_basis_lambda_cap " << spec.pb.single_basis_lambda_cap;
+        << "k " << spec.k << ", eta " << spec.pb.eta << ", max_basis_length "
+        << spec.pb.max_basis_length << ", single_basis_lambda_cap "
+        << spec.pb.single_basis_lambda_cap;
   }
   EXPECT_EQ(dataset->accountant()->spent_epsilon(), 0.0);
   EXPECT_TRUE(dataset->accountant()->ledger().empty());
@@ -477,12 +499,12 @@ TEST(DatasetTest, TruthSharesTheHandleIndex) {
   EXPECT_EQ(dataset->cache_counters().margin_mines, 0u);
 }
 
-// A fresh dataset builds no executor and no VerticalIndex, and a query
-// on it scans db() directly.
-TEST(DatasetTest, FreshDatasetBuildsNoExecutorOrIndex) {
+// A fresh dataset counts through its direct executor from the start, and
+// neither that executor nor a query builds the VerticalIndex.
+TEST(DatasetTest, FreshDatasetBuildsNoIndex) {
   auto dataset = Dataset::Create(
       MakeRandomDb({.seed = 29, .num_transactions = 120, .universe = 14}));
-  EXPECT_EQ(dataset->count_executor(), nullptr);
+  EXPECT_NE(dataset->EnsureCountExecutor(), nullptr);
 
   QuerySpec spec;
   spec.k = 12;
@@ -491,18 +513,17 @@ TEST(DatasetTest, FreshDatasetBuildsNoExecutorOrIndex) {
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release release,
                                  Engine::Run(*dataset, spec));
   EXPECT_FALSE(release.itemsets.empty());
-  EXPECT_EQ(dataset->count_executor(), nullptr);
+  EXPECT_NE(dataset->EnsureCountExecutor(), nullptr);
   EXPECT_EQ(dataset->cache_counters().index_builds, 0u);
 }
 
-// A fired token surfaces kCancelled from every op — never a partial or
+// A fired token surfaces kCancelled from both ops — never a partial or
 // garbage count (the fail-closed half of the executor contract) — on a
 // database large enough that the pair and bin scans split over the pool.
 TEST(CountExecutorTest, FiredTokenFailsClosed) {
   auto db = std::make_shared<const TransactionDatabase>(
       MakeRandomDb({.seed = 31, .num_transactions = 10000}));
-  const DirectCountExecutor exec(
-      db, std::make_shared<const VerticalIndex>(*db), /*num_threads=*/4);
+  const DirectCountExecutor exec(db, /*num_threads=*/4);
   CancelToken token;
   token.Cancel();
 
@@ -512,24 +533,18 @@ TEST(CountExecutorTest, FiredTokenFailsClosed) {
             StatusCode::kCancelled);
   EXPECT_EQ(exec.PairSupports({0, 1, 2}, &token).status().code(),
             StatusCode::kCancelled);
-  const std::vector<Itemset> queries = {Itemset({0}), Itemset({1, 2})};
-  EXPECT_EQ(exec.SupportOfMany(queries, &token).status().code(),
-            StatusCode::kCancelled);
 }
 
 /// An attached executor that breaks one way: it fails the bin scan with
 /// kUnavailable (a backend that went away), or answers the pair or bin
 /// scan with a result of the wrong shape. Otherwise it runs the direct
-/// scans. A query calls only PairSupports and BasisBinCounts, so the
-/// other two ops refuse.
+/// scans.
 class FaultyCountExecutor : public CountExecutor {
  public:
   enum class Fault { kUnavailableBins, kShortPairs, kShortBins, kShortBinRow };
 
   FaultyCountExecutor(const TransactionDatabase& db, Fault fault)
       : db_(db), fault_(fault) {}
-
-  size_t NumShards() const override { return 1; }
 
   Result<std::vector<std::vector<uint64_t>>> BasisBinCounts(
       const BasisSet& basis_set, const CancelToken* cancel) const override {
@@ -552,19 +567,35 @@ class FaultyCountExecutor : public CountExecutor {
     return pairs;
   }
 
-  Result<std::vector<uint64_t>> SupportOfMany(
-      std::span<const Itemset>, const CancelToken*) const override {
-    return Status::Internal("SupportOfMany is not a query op");
-  }
-
-  Result<std::vector<uint64_t>> ItemSupports(
-      const CancelToken*) const override {
-    return Status::Internal("ItemSupports is not a query op");
-  }
-
  private:
   const TransactionDatabase& db_;
   Fault fault_;
+};
+
+/// An attached executor that counts the calls of each op and answers
+/// them with the direct scans.
+class RecordingCountExecutor : public CountExecutor {
+ public:
+  explicit RecordingCountExecutor(const TransactionDatabase& db) : db_(db) {}
+
+  Result<std::vector<std::vector<uint64_t>>> BasisBinCounts(
+      const BasisSet& basis_set, const CancelToken* cancel) const override {
+    bin_calls.fetch_add(1);
+    return CountBasisBins(db_, basis_set, 0, cancel);
+  }
+
+  Result<std::vector<uint64_t>> PairSupports(
+      const std::vector<Item>& items,
+      const CancelToken* cancel) const override {
+    pair_calls.fetch_add(1);
+    return CountPairSupports(db_, items, 0, cancel);
+  }
+
+  mutable std::atomic<size_t> pair_calls{0};
+  mutable std::atomic<size_t> bin_calls{0};
+
+ private:
+  const TransactionDatabase& db_;
 };
 
 /// k = 20 over 12 items keeps η·k above λ, and a zero fast-path cap
@@ -589,12 +620,37 @@ TEST(CountExecutorTest, UnavailableExecutorFailsClosedWithFullCharge) {
   EXPECT_EQ(dataset->accountant()->spent_epsilon(), spec.epsilon);
   EXPECT_EQ(dataset->accountant()->reserved_epsilon(), 0.0);
 
-  // Detached, the dataset scans db() directly and serves again.
+  // Detached, the dataset counts through a direct executor again and
+  // serves.
   dataset->AttachCountExecutor(nullptr);
+  EXPECT_NE(dynamic_cast<const DirectCountExecutor*>(
+                dataset->EnsureCountExecutor().get()),
+            nullptr);
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release ok, Engine::Run(*dataset, spec));
   EXPECT_FALSE(ok.itemsets.empty());
   EXPECT_DOUBLE_EQ(dataset->accountant()->spent_epsilon(),
                    spec.epsilon + ok.epsilon_spent);
+}
+
+// A full-data query counts only through the dataset's executor: one pair
+// call and one bin call. A subsampled query counts its sample through an
+// executor of its own and never calls the dataset's.
+TEST(CountExecutorTest, QueryCountsOnlyThroughDatasetExecutor) {
+  auto dataset = SmallDataset();
+  auto recorder = std::make_shared<RecordingCountExecutor>(dataset->db());
+  dataset->AttachCountExecutor(recorder);
+  const QuerySpec spec = PairStepSpec();
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(Release release, Engine::Run(*dataset, spec));
+  ASSERT_GE(release.lambda, 2u) << "the pair step needs two items";
+  EXPECT_EQ(recorder->pair_calls.load(), 1u);
+  EXPECT_EQ(recorder->bin_calls.load(), 1u);
+
+  PRIVBASIS_ASSERT_OK_AND_ASSIGN(
+      Release sampled,
+      Engine::Run(*dataset, QuerySpec(spec).WithAmplification(0.5)));
+  EXPECT_FALSE(sampled.itemsets.empty());
+  EXPECT_EQ(recorder->pair_calls.load(), 1u);
+  EXPECT_EQ(recorder->bin_calls.load(), 1u);
 }
 
 TEST(CountExecutorTest, WrongSizedCountsFailInternalWithFullCharge) {

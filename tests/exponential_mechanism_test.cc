@@ -6,8 +6,15 @@
 #include <set>
 #include <vector>
 
+#include "exponential_mechanism_reference.h"
+
 namespace privbasis {
 namespace {
+
+using ::privbasis::testing::EmExponentFactor;
+using ::privbasis::testing::EmOptions;
+using ::privbasis::testing::ExponentialMechanismSelect;
+using ::privbasis::testing::ExponentialMechanismSelectK;
 
 TEST(EmTest, ExponentFactor) {
   EXPECT_NEAR(EmExponentFactor({.epsilon = 1.0, .sensitivity = 1.0,

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "fim/apriori.h"
-#include "fim/brute_force.h"
+#include "apriori_reference.h"
+#include "brute_force_reference.h"
 #include "fim/fpgrowth.h"
 #include "test_util.h"
 
@@ -10,6 +10,8 @@ namespace {
 
 using ::privbasis::testing::MakeDb;
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::testing::MineApriori;
+using ::privbasis::testing::MineBruteForce;
 
 TEST(BruteForceTest, TextbookExample) {
   // Classic market-basket example with obvious frequent itemsets.

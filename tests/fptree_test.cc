@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
-#include "fim/apriori.h"
-#include "fim/brute_force.h"
+#include "apriori_reference.h"
+#include "brute_force_reference.h"
 #include "fim/fpgrowth.h"
 #include "test_util.h"
 
@@ -14,6 +14,8 @@ namespace {
 
 using ::privbasis::testing::MakeDb;
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::testing::MineApriori;
+using ::privbasis::testing::MineBruteForce;
 
 TEST(FpTreeTest, RanksOrderedByDescendingSupport) {
   // supports: 0 -> 1, 1 -> 2, 2 -> 3.

@@ -351,13 +351,16 @@ TEST(BatchExecTest, FusedOpsSplitBackExactly) {
   TransactionDatabase db = MakeRandomDb({.seed = 31, .num_transactions = 300});
   auto dataset = Dataset::Create(db);
   // A fresh dataset has no executor attached, so this is the
-  // DirectCountExecutor over the whole database.
+  // DirectCountExecutor over the whole database. The batcher looks its
+  // fused pairs up in the dataset's index, as the server attaches it.
   std::shared_ptr<const CountExecutor> direct = dataset->EnsureCountExecutor();
   ASSERT_NE(direct, nullptr);
 
   auto stats = std::make_shared<BatchStats>();
-  BatchingCountExecutor batcher(
-      direct, {.window_us = 2'000'000, .max_batch = 4}, stats);
+  BatchingCountExecutor batcher(direct, dataset->Index(),
+                                dataset->options().num_threads,
+                                {.window_us = 2'000'000, .max_batch = 4},
+                                stats);
 
   // Two members per round: both queries registered in flight before the
   // worker threads start, so the leader's target is 2 and neither op

@@ -193,6 +193,22 @@ TEST(ServerTest, MalformedJsonIs400) {
   EXPECT_EQ(server->registry().size(), 0u);
 }
 
+// "eta": 1e400 parses to +inf. The spec must 400 before any ε is
+// reserved, never reach the ⌈η·k⌉ cast.
+TEST(ServerTest, NonFiniteEtaIs400) {
+  auto server = StartServer();
+  auto dataset =
+      Dataset::Create(MakeRandomDb({.seed = 9, .num_transactions = 200}));
+  const std::string id = *server->registry().Register(dataset);
+  auto response =
+      Call(*server, "POST", "/v1/query",
+           "{\"dataset\":\"" + id + "\",\"k\":20,\"pb\":{\"eta\":1e400}}");
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status, 400) << response->body;
+  EXPECT_EQ(dataset->accountant()->spent_epsilon(), 0.0);
+  EXPECT_TRUE(dataset->accountant()->ledger().empty());
+}
+
 TEST(ServerTest, OversizedBodyIs413) {
   ServerOptions options;
   options.max_body_bytes = 512;

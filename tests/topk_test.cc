@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fim/brute_force.h"
+#include "brute_force_reference.h"
 #include "test_util.h"
 
 namespace privbasis {
@@ -10,6 +10,7 @@ namespace {
 
 using ::privbasis::testing::MakeDb;
 using ::privbasis::testing::MakeRandomDb;
+using ::privbasis::testing::MineBruteForce;
 
 // Reference: mine everything (capped length for brute force), sort
 // canonically, take the prefix.
