@@ -297,9 +297,10 @@ void RunSuite() {
   // costs ~1 scan instead of 8; releases stay bit-identical either way
   // (exact counts merge before any noise draw). Emits one phase per
   // mode plus the throughput ratio, batching_speedup. The ratio grows
-  // with counting's share of a query: three runs per scale (min of 7
-  // rounds, 4-vCPU x86-64 VM) read 1.28-1.52 at PRIVBASIS_SMOKE_SCALE=1.0
-  // and 1.06-1.29 at the CI scale of 0.3.
+  // with counting's share of a query. Ten runs at the CI scale of 0.3
+  // (min of 7 rounds, 4-vCPU x86-64 VM) read 1.07-1.56, and five at
+  // PRIVBASIS_SMOKE_SCALE=1.0 read 1.24-1.73. A ratio of two minima of
+  // 2-7 ms rounds, it cannot resolve a change of ±15%.
   {
     constexpr size_t kClients = 8;
     auto run_fanout = [&](server::ServerOptions options) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <limits>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "core/basis_freq.h"
@@ -46,14 +48,9 @@ Result<std::vector<uint64_t>> DirectCountExecutor::PairSupports(
 // ---------------------------------------------------- BatchingCountExecutor
 
 BatchingCountExecutor::BatchingCountExecutor(
-    std::shared_ptr<const CountExecutor> inner,
-    std::shared_ptr<const VerticalIndex> index, size_t num_threads,
-    Options options, std::shared_ptr<BatchStats> stats)
-    : inner_(std::move(inner)),
-      index_(std::move(index)),
-      num_threads_(num_threads),
-      options_(options),
-      stats_(std::move(stats)) {}
+    std::shared_ptr<const CountExecutor> inner, Options options,
+    std::shared_ptr<BatchStats> stats)
+    : inner_(std::move(inner)), options_(options), stats_(std::move(stats)) {}
 
 BatchingCountExecutor::~BatchingCountExecutor() = default;
 
@@ -213,6 +210,9 @@ BatchingCountExecutor::BasisBinCounts(const BasisSet& basis_set,
         }
         PRIVBASIS_ASSIGN_OR_RETURN(Resp bins,
                                    inner_->BasisBinCounts(fused_set, token));
+        if (bins.size() != fused_set.Width()) {
+          return Status::Internal("fused bin count has the wrong shape");
+        }
         std::vector<Resp> out;
         out.reserve(reqs.size());
         size_t row = 0;
@@ -243,36 +243,47 @@ Result<std::vector<uint64_t>> BatchingCountExecutor::PairSupports(
           out.push_back(std::move(counts));
           return out;
         }
-        // Look every member's pairs up in one SupportOfMany call on the
-        // index, then reshape each slice back into the dense m×m layout
-        // of CountPairSupports. Pair supports are exact either way.
-        std::optional<CancelToken> storage;
-        const CancelToken* token = FusedToken(cancels, storage);
-        std::vector<Itemset> queries;
-        for (const PairReq* r : reqs) {
-          const std::vector<Item>& member = *r->items;
-          for (size_t i = 0; i < member.size(); ++i) {
-            for (size_t j = i + 1; j < member.size(); ++j) {
-              queries.push_back(Itemset{member[i], member[j]});
+        // One inner scan over the union of the members' items, in
+        // first-seen order. A member's position maps to its item's place
+        // in the union, except a repeat of an item earlier in the same
+        // member, which maps to none: its solo scan gives that position
+        // no column, so its pairs read 0.
+        constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
+        std::vector<Item> fused_items;
+        std::unordered_map<Item, uint32_t> fused_position;
+        std::vector<size_t> last_member;  // per union item: member index + 1
+        std::vector<std::vector<uint32_t>> positions(reqs.size());
+        for (size_t r = 0; r < reqs.size(); ++r) {
+          for (Item item : *reqs[r]->items) {
+            const auto [it, inserted] = fused_position.emplace(
+                item, static_cast<uint32_t>(fused_items.size()));
+            if (inserted) {
+              fused_items.push_back(item);
+              last_member.push_back(0);
             }
+            const uint32_t p = it->second;
+            positions[r].push_back(last_member[p] == r + 1 ? kAbsent : p);
+            last_member[p] = r + 1;
           }
         }
-        const Resp counts =
-            index_->SupportOfMany(queries, num_threads_, token);
-        // A fired token stops the lookup part way; never split partial
-        // counts.
-        if (IsCancelled(token)) {
-          return Status::Cancelled("batched pair lookup cancelled mid-scan");
+        std::optional<CancelToken> storage;
+        const CancelToken* token = FusedToken(cancels, storage);
+        PRIVBASIS_ASSIGN_OR_RETURN(const Resp fused,
+                                   inner_->PairSupports(fused_items, token));
+        const size_t u = fused_items.size();
+        if (fused.size() != u * u) {
+          return Status::Internal("fused pair count has the wrong shape");
         }
         std::vector<Resp> out;
         out.reserve(reqs.size());
-        size_t pos = 0;
-        for (const PairReq* r : reqs) {
-          const size_t m = r->items->size();
+        for (const std::vector<uint32_t>& pos : positions) {
+          const size_t m = pos.size();
           Resp dense(m * m, 0);
           for (size_t i = 0; i < m; ++i) {
             for (size_t j = i + 1; j < m; ++j) {
-              dense[i * m + j] = counts[pos++];
+              if (pos[i] == kAbsent || pos[j] == kAbsent) continue;
+              dense[i * m + j] = fused[std::min(pos[i], pos[j]) * u +
+                                       std::max(pos[i], pos[j])];
             }
           }
           out.push_back(std::move(dense));

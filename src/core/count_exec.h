@@ -13,8 +13,10 @@
 // scans (CountPairSupports, CountBasisBins) over one database, split
 // over the thread pool; it is the only caller of those scans, and every
 // Dataset holds one. BatchingCountExecutor wraps a dataset's executor
-// to fuse concurrent queries' scans. A query calls only PairSupports
-// and BasisBinCounts, the two pure virtuals.
+// to fuse concurrent queries' scans into one call of the same op on it,
+// so pair supports and bin histograms each have one implementation.
+// A query calls only PairSupports and BasisBinCounts, the two pure
+// virtuals.
 //
 // Error contract: an executor that cannot produce the exact count —
 // a fired deadline, a backend that went away — returns a non-OK status

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/logspace.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/construct_basis.h"
 #include "dp/budget.h"
@@ -77,46 +77,63 @@ Result<std::vector<uint64_t>> CountPairSupports(
     const TransactionDatabase& db, const std::vector<Item>& items,
     size_t num_threads, const CancelToken* cancel) {
   const size_t m = items.size();
-  std::unordered_map<Item, uint32_t> local;
-  local.reserve(m * 2);
-  for (uint32_t i = 0; i < m; ++i) local.emplace(items[i], i);
-
   std::vector<uint64_t> counts(m * m, 0);
   const size_t n = db.NumTransactions();
   if (m < 2 || n == 0) return counts;
 
-  // The scan splits into contiguous transaction ranges on the pool, one
-  // exact m×m count array per range, summed in range order, so the
-  // counts are identical at every thread count.
+  // Each item's position in F. The first occurrence of a duplicated item
+  // wins and items outside the universe get none, so the pairs of every
+  // other position read 0.
+  constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> position(db.UniverseSize(), kAbsent);
+  for (size_t i = 0; i < m; ++i) {
+    if (items[i] < position.size() && position[items[i]] == kAbsent) {
+      position[items[i]] = static_cast<uint32_t>(i);
+    }
+  }
+
+  // One scan of D in blocks of kBlock transactions. A block sets bit t of
+  // column i when its t-th transaction holds F[i], then every pair i < j
+  // adds the popcount of its two columns' AND. Ranges of whole blocks run
+  // on the pool, one exact m×m count array per range, summed in range
+  // order, so the counts are identical at every thread count.
+  constexpr size_t kBlock = 4096;
+  constexpr size_t kWords = kBlock / 64;
+  const size_t num_blocks = (n + kBlock - 1) / kBlock;
   const size_t threads = EffectiveThreads(num_threads);
-  const size_t num_ranges = CountScanRanges(n, threads, m * m);
-  constexpr size_t kCancelChunk = 1024;
+  const size_t max_ranges = CountScanRanges(n, threads, m * m);
+  const size_t grain = (num_blocks + max_ranges - 1) / max_ranges;
+  const size_t num_ranges = (num_blocks + grain - 1) / grain;
   std::atomic<bool> cancelled{false};
   std::vector<std::vector<uint64_t>> range_counts(
       num_ranges, std::vector<uint64_t>(m * m, 0));
   ThreadPool::Global().ParallelFor(
-      0, n, (n + num_ranges - 1) / num_ranges, threads,
-      [&](size_t range_begin, size_t range_end, size_t r) {
+      0, num_blocks, grain, threads,
+      [&](size_t block_begin, size_t block_end, size_t r) {
         std::vector<uint64_t>& local_counts = range_counts[r];
-        std::vector<uint32_t> present;
-        for (size_t t = range_begin; t < range_end; ++t) {
-          if ((t - range_begin) % kCancelChunk == 0) {
-            if (cancelled.load(std::memory_order_relaxed)) return;
-            if (IsCancelled(cancel)) {
-              cancelled.store(true, std::memory_order_relaxed);
-              return;
+        std::vector<uint64_t> columns(m * kWords);
+        for (size_t block = block_begin; block < block_end; ++block) {
+          if (cancelled.load(std::memory_order_relaxed)) return;
+          if (IsCancelled(cancel)) {
+            cancelled.store(true, std::memory_order_relaxed);
+            return;
+          }
+          const size_t first = block * kBlock;
+          const size_t size = std::min(kBlock, n - first);
+          std::fill(columns.begin(), columns.end(), 0);
+          for (size_t bit = 0; bit < size; ++bit) {
+            const uint64_t mask = uint64_t{1} << (bit % 64);
+            for (Item it : db.Transaction(first + bit)) {
+              const uint32_t i = position[it];
+              if (i != kAbsent) columns[i * kWords + bit / 64] |= mask;
             }
           }
-          present.clear();
-          for (Item it : db.Transaction(t)) {
-            auto found = local.find(it);
-            if (found != local.end()) present.push_back(found->second);
-          }
-          for (size_t a = 0; a < present.size(); ++a) {
-            for (size_t b = a + 1; b < present.size(); ++b) {
-              uint32_t i = std::min(present[a], present[b]);
-              uint32_t j = std::max(present[a], present[b]);
-              ++local_counts[static_cast<size_t>(i) * m + j];
+          const size_t words = (size + 63) / 64;
+          for (size_t i = 0; i + 1 < m; ++i) {
+            const uint64_t* column_i = &columns[i * kWords];
+            for (size_t j = i + 1; j < m; ++j) {
+              local_counts[i * m + j] +=
+                  simd::AndPopcount(column_i, &columns[j * kWords], words);
             }
           }
         }

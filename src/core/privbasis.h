@@ -142,11 +142,16 @@ Result<std::vector<size_t>> GetFreqElements(const SupportGroups& candidates,
 
 /// Exact pair-support counting restricted to `items`: one data scan,
 /// returns the dense upper-triangular counts, pair (i, j) with i < j at
-/// index i*|items| + j. The scan splits over the thread pool like
-/// CountBasisBins (`num_threads` 0 = the PRIVBASIS_THREADS env knob) and
-/// the counts are identical at every thread count. A fired `cancel`
-/// token unwinds with kCancelled within one transaction chunk. Queries
-/// reach it through DirectCountExecutor (core/batch_exec.h).
+/// index i*|items| + j. Each block of 4096 transactions becomes one
+/// 4096-bit column per item, and a pair's count is the AND + popcount of
+/// its two columns, so the work is m²·n/64 words however sparse D is.
+/// Only the first occurrence of a repeated item, and no item outside the
+/// universe, gets a column: the pairs of any other position read 0. The
+/// scan splits over the thread pool like CountBasisBins (`num_threads`
+/// 0 = the PRIVBASIS_THREADS env knob) and the counts are identical at
+/// every thread count. A fired `cancel` token unwinds with kCancelled
+/// within one block. Queries reach it through DirectCountExecutor
+/// (core/batch_exec.h).
 Result<std::vector<uint64_t>> CountPairSupports(
     const TransactionDatabase& db, const std::vector<Item>& items,
     size_t num_threads = 0, const CancelToken* cancel = nullptr);

@@ -52,9 +52,9 @@ struct DatasetOptions {
   /// kUnlimited tracks spend without refusing any query.
   double total_epsilon = Accountant::kUnlimited;
   /// Parallelism for cache construction (index build, top-k mining) and
-  /// for every full-data query's counting scans (the dataset's direct
-  /// executor, and a batcher's fused pair lookups); 0 = the
-  /// PRIVBASIS_THREADS env knob.
+  /// for every full-data query's counting scans, which all run through
+  /// the dataset's direct executor (a batcher's fused rounds too); 0 =
+  /// the PRIVBASIS_THREADS env knob.
   size_t num_threads = 0;
 };
 

@@ -188,8 +188,8 @@ class QueryServer {
   HttpResponse Route(const HttpRequest& request);
 
   /// Registry attach hook (installed only when batching is on): wraps
-  /// the dataset's direct executor in a BatchingCountExecutor that
-  /// fuses pairs on the dataset's index (built here).
+  /// the dataset's direct executor in a BatchingCountExecutor whose
+  /// fused rounds count through that executor. Builds nothing.
   Status AttachBatcher(const std::string& id,
                        const std::shared_ptr<Dataset>& dataset);
   /// True once Start() resolved the batching knobs to an active config.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -520,19 +521,46 @@ TEST(DatasetTest, FreshDatasetBuildsNoIndex) {
 // A fired token surfaces kCancelled from both ops — never a partial or
 // garbage count (the fail-closed half of the executor contract) — on a
 // database large enough that the pair and bin scans split over the pool.
+// The batcher's fused rounds run the same scans on the inner executor,
+// under the latest member deadline, so members whose deadlines have all
+// passed fail the same way.
 TEST(CountExecutorTest, FiredTokenFailsClosed) {
   auto db = std::make_shared<const TransactionDatabase>(
       MakeRandomDb({.seed = 31, .num_transactions = 10000}));
-  const DirectCountExecutor exec(db, /*num_threads=*/4);
+  auto exec = std::make_shared<const DirectCountExecutor>(db,
+                                                          /*num_threads=*/4);
   CancelToken token;
   token.Cancel();
 
   BasisSet basis_set;
   basis_set.Add(Itemset({0, 1}));
-  EXPECT_EQ(exec.BasisBinCounts(basis_set, &token).status().code(),
+  EXPECT_EQ(exec->BasisBinCounts(basis_set, &token).status().code(),
             StatusCode::kCancelled);
-  EXPECT_EQ(exec.PairSupports({0, 1, 2}, &token).status().code(),
+  EXPECT_EQ(exec->PairSupports({0, 1, 2}, &token).status().code(),
             StatusCode::kCancelled);
+
+  BatchingCountExecutor batcher(exec, {.window_us = 2'000'000, .max_batch = 2});
+  batcher.BeginQuery();
+  batcher.BeginQuery();
+  const auto past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  CancelToken expired_a(past);
+  CancelToken expired_b(past);
+  Result<std::vector<uint64_t>> pairs_a = Status::Internal("unset");
+  Result<std::vector<std::vector<uint64_t>>> bins_a =
+      Status::Internal("unset");
+  std::thread member_a([&] {
+    pairs_a = batcher.PairSupports({0, 1, 2}, &expired_a);
+    bins_a = batcher.BasisBinCounts(basis_set, &expired_a);
+  });
+  auto pairs_b = batcher.PairSupports({3, 4}, &expired_b);
+  auto bins_b = batcher.BasisBinCounts(basis_set, &expired_b);
+  member_a.join();
+  batcher.EndQuery();
+  batcher.EndQuery();
+  EXPECT_EQ(pairs_a.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(pairs_b.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(bins_a.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(bins_b.status().code(), StatusCode::kCancelled);
 }
 
 /// An attached executor that breaks one way: it fails the bin scan with
@@ -667,6 +695,43 @@ TEST(CountExecutorTest, WrongSizedCountsFailInternalWithFullCharge) {
         << release.status();
     EXPECT_EQ(dataset->accountant()->spent_epsilon(), spec.epsilon);
     EXPECT_EQ(dataset->accountant()->reserved_epsilon(), 0.0);
+  }
+}
+
+// A fused round whose inner count comes back the wrong shape fails every
+// member with kInternal instead of splitting rows that are not there.
+TEST(CountExecutorTest, BatchedWrongSizedCountsFailInternal) {
+  using Fault = FaultyCountExecutor::Fault;
+  const TransactionDatabase db = MakeRandomDb({.seed = 7});
+  BasisSet basis_set;
+  basis_set.Add(Itemset({0, 1}));
+  for (const Fault fault : {Fault::kShortPairs, Fault::kShortBins}) {
+    BatchingCountExecutor batcher(
+        std::make_shared<FaultyCountExecutor>(db, fault),
+        {.window_us = 2'000'000, .max_batch = 2});
+    batcher.BeginQuery();
+    batcher.BeginQuery();
+    Result<std::vector<uint64_t>> pairs_a = Status::Internal("unset");
+    Result<std::vector<std::vector<uint64_t>>> bins_a =
+        Status::Internal("unset");
+    std::thread member_a([&] {
+      pairs_a = batcher.PairSupports({0, 1, 2}, nullptr);
+      bins_a = batcher.BasisBinCounts(basis_set, nullptr);
+    });
+    auto pairs_b = batcher.PairSupports({2, 3}, nullptr);
+    auto bins_b = batcher.BasisBinCounts(basis_set, nullptr);
+    member_a.join();
+    batcher.EndQuery();
+    batcher.EndQuery();
+    if (fault == Fault::kShortPairs) {
+      EXPECT_EQ(pairs_a.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(pairs_b.status().code(), StatusCode::kInternal);
+      EXPECT_TRUE(bins_a.ok() && bins_b.ok());
+    } else {
+      EXPECT_TRUE(pairs_a.ok() && pairs_b.ok());
+      EXPECT_EQ(bins_a.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(bins_b.status().code(), StatusCode::kInternal);
+    }
   }
 }
 

@@ -351,16 +351,14 @@ TEST(BatchExecTest, FusedOpsSplitBackExactly) {
   TransactionDatabase db = MakeRandomDb({.seed = 31, .num_transactions = 300});
   auto dataset = Dataset::Create(db);
   // A fresh dataset has no executor attached, so this is the
-  // DirectCountExecutor over the whole database. The batcher looks its
-  // fused pairs up in the dataset's index, as the server attaches it.
+  // DirectCountExecutor over the whole database. The batcher counts every
+  // fused round through it, as the server attaches it.
   std::shared_ptr<const CountExecutor> direct = dataset->EnsureCountExecutor();
   ASSERT_NE(direct, nullptr);
 
   auto stats = std::make_shared<BatchStats>();
-  BatchingCountExecutor batcher(direct, dataset->Index(),
-                                dataset->options().num_threads,
-                                {.window_us = 2'000'000, .max_batch = 4},
-                                stats);
+  BatchingCountExecutor batcher(
+      direct, {.window_us = 2'000'000, .max_batch = 4}, stats);
 
   // Two members per round: both queries registered in flight before the
   // worker threads start, so the leader's target is 2 and neither op
@@ -368,37 +366,55 @@ TEST(BatchExecTest, FusedOpsSplitBackExactly) {
   batcher.BeginQuery();
   batcher.BeginQuery();
 
+  // The first pair round's members share item 2; the second round's
+  // share no item. Member d also repeats item 8 and names item 40, outside
+  // the 12-item universe: its solo count gives neither position a column,
+  // so the split must read their pairs as 0 too.
   const std::vector<Item> items_a = {1, 2, 3, 5};
   const std::vector<Item> items_b = {2, 4, 6};
+  const std::vector<Item> items_c = {0, 7, 9};
+  const std::vector<Item> items_d = {1, 8, 10, 8, 40};
   BasisSet bases_a({Itemset({1, 2}), Itemset({3, 4})});
   BasisSet bases_b({Itemset({2, 5, 6})});
 
   Result<std::vector<uint64_t>> pair_a = Status::Internal("unset");
   Result<std::vector<std::vector<uint64_t>>> bins_a =
       Status::Internal("unset");
+  Result<std::vector<uint64_t>> pair_c = Status::Internal("unset");
   std::thread member_a([&] {
     pair_a = batcher.PairSupports(items_a, nullptr);
     bins_a = batcher.BasisBinCounts(bases_a, nullptr);
+    pair_c = batcher.PairSupports(items_c, nullptr);
   });
   auto pair_b = batcher.PairSupports(items_b, nullptr);
   auto bins_b = batcher.BasisBinCounts(bases_b, nullptr);
+  auto pair_d = batcher.PairSupports(items_d, nullptr);
   member_a.join();
   batcher.EndQuery();
   batcher.EndQuery();
 
   ASSERT_TRUE(pair_a.ok()) << pair_a.status();
   ASSERT_TRUE(bins_a.ok()) << bins_a.status();
-  ASSERT_TRUE(pair_b.ok() && bins_b.ok());
+  ASSERT_TRUE(pair_c.ok()) << pair_c.status();
+  ASSERT_TRUE(pair_b.ok() && bins_b.ok() && pair_d.ok());
 
   // Every member's slice equals its solo (unbatched) run, bit for bit.
   EXPECT_EQ(*pair_a, *direct->PairSupports(items_a, nullptr));
   EXPECT_EQ(*pair_b, *direct->PairSupports(items_b, nullptr));
+  EXPECT_EQ(*pair_c, *direct->PairSupports(items_c, nullptr));
+  EXPECT_EQ(*pair_d, *direct->PairSupports(items_d, nullptr));
   EXPECT_EQ(*bins_a, *direct->BasisBinCounts(bases_a, nullptr));
   EXPECT_EQ(*bins_b, *direct->BasisBinCounts(bases_b, nullptr));
+  const size_t m_d = items_d.size();
+  EXPECT_GT((*pair_d)[0 * m_d + 1], 0u);  // items 1 and 8 co-occur
+  EXPECT_EQ((*pair_d)[1 * m_d + 3], 0u);  // 8 with its own repeat
+  EXPECT_EQ((*pair_d)[0 * m_d + 3], 0u);  // 1 with the repeat of 8
+  EXPECT_EQ((*pair_d)[0 * m_d + 4], 0u);  // 1 with an item outside |I|
 
-  // The scans actually fused (2 members each round, 2 op kinds).
-  EXPECT_GE(stats->batches.load(), 2u);
-  EXPECT_GE(stats->scans_saved.load(), 2u);
+  // The scans actually fused (2 members each round: 2 pair rounds and
+  // 1 bin round).
+  EXPECT_GE(stats->batches.load(), 3u);
+  EXPECT_GE(stats->scans_saved.load(), 3u);
   EXPECT_EQ(stats->batched_queries.load(), stats->batches.load() * 2);
 }
 
@@ -467,6 +483,9 @@ TEST(BatchExecTest, ServedBatchedQueriesBitIdenticalToUnbatched) {
             plain_dataset->accountant()->ledger().size());
   EXPECT_EQ(batched_dataset->accountant()->spent_epsilon(),
             plain_dataset->accountant()->spent_epsilon());
+  // Every fused round counted through the dataset's executor: attaching
+  // the batcher and serving the storm built no VerticalIndex.
+  EXPECT_EQ(batched_dataset->cache_counters().index_builds, 0u);
 
   // The batched server reports its config (fusions are load-dependent,
   // so only the knobs are asserted here).

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <unordered_set>
+#include <utility>
 
 #include "data/synthetic.h"
 #include "engine/engine.h"
@@ -116,6 +120,96 @@ TEST(CountPairSupportsTest, EmptyItems) {
   PRIVBASIS_ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> counts,
                                  CountPairSupports(db, {}));
   EXPECT_TRUE(counts.empty());
+}
+
+constexpr uint32_t kPairUniverse = 80;
+
+/// `n` transactions over an 80-item universe. Items 72..79 never occur
+/// (support 0); item i joins a transaction with a probability that
+/// decays along a scrambled rank (i·37 mod 72), so support order is not
+/// id order.
+TransactionDatabase PairScanDb(size_t n) {
+  Rng rng(0x5eed + n);
+  TransactionDatabase::Builder builder(kPairUniverse);
+  for (size_t t = 0; t < n; ++t) {
+    std::vector<Item> txn;
+    for (Item i = 0; i < 72; ++i) {
+      const double rank = static_cast<double>((i * 37) % 72);
+      if (rng.Bernoulli(0.02 + 0.35 * std::pow(0.93, rank))) txn.push_back(i);
+    }
+    builder.AddTransaction(std::move(txn));
+  }
+  auto db = std::move(builder).Build();
+  EXPECT_TRUE(db.ok());
+  return std::move(db).value();
+}
+
+/// The m most frequent items in support order. From m = 64 on, three
+/// positions carry the edge cases: position 7 repeats position 3, position
+/// m − 2 is outside the universe, and position m − 1 is in the universe
+/// with support 0.
+std::vector<Item> PairScanItems(const TransactionDatabase& db, size_t m) {
+  std::vector<Item> items = db.ItemsByFrequency();
+  items.resize(m);
+  if (m >= 64) {
+    items[7] = items[3];
+    items[m - 2] = kPairUniverse + 5;
+    items[m - 1] = kPairUniverse - 1;
+  }
+  return items;
+}
+
+// The block scan against TransactionDatabase::SupportOf, pair by pair, at
+// sizes on both sides of the 64-transaction word and the 4096-transaction
+// block, at 1, 2 and 8 threads. Only the first occurrence of a repeated
+// item and no item outside the universe gets a column, so the oracle
+// reads every other position's pairs as 0.
+TEST(CountPairSupportsTest, MatchesSupportOfAcrossBlocksAndThreads) {
+  for (size_t n : {1u, 63u, 64u, 65u, 4095u, 4096u, 4097u, 12289u}) {
+    const TransactionDatabase db = PairScanDb(n);
+    std::map<std::pair<Item, Item>, uint64_t> support_of;
+    for (size_t m : {2u, 3u, 64u, 65u}) {
+      const std::vector<Item> items = PairScanItems(db, m);
+      auto counted = [&](size_t p) {
+        return items[p] < db.UniverseSize() &&
+               std::find(items.begin(), items.begin() + p, items[p]) ==
+                   items.begin() + p;
+      };
+      std::vector<uint64_t> expected(m * m, 0);
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t j = i + 1; j < m; ++j) {
+          if (!counted(i) || !counted(j)) continue;
+          const auto key = std::minmax(items[i], items[j]);
+          auto [it, inserted] = support_of.emplace(key, 0);
+          if (inserted) {
+            it->second = db.SupportOf(Itemset({items[i], items[j]}));
+          }
+          expected[i * m + j] = it->second;
+        }
+      }
+      for (size_t threads : {1u, 2u, 8u}) {
+        PRIVBASIS_ASSERT_OK_AND_ASSIGN(
+            std::vector<uint64_t> counts,
+            CountPairSupports(db, items, threads));
+        EXPECT_EQ(counts, expected)
+            << "n=" << n << " m=" << m << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// A token fired before the call cancels a scan of several blocks at
+// every thread count, with no counts.
+TEST(CountPairSupportsTest, FiredTokenCancelsMultiBlockScan) {
+  const TransactionDatabase db = PairScanDb(12289);
+  const std::vector<Item> items = PairScanItems(db, 64);
+  CancelToken token;
+  token.Cancel();
+  for (size_t threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(CountPairSupports(db, items, threads, &token).status().code(),
+              StatusCode::kCancelled)
+        << threads << " threads";
+  }
 }
 
 TEST(PrivBasisQueryTest, ValidatesArguments) {
